@@ -11,12 +11,19 @@
 //     policies, finite lane pools, ~3 deps/op), the adversarial case for
 //     the ready heaps.
 //
+// Plus one serving-plane record, serving_sweep: simulated requests/sec of
+// sim::simulate_serving run once per compress::main_settings() entry on one
+// seeded Poisson trace (BERT-Large, TP=4 on one NVLink node, every step
+// priced by parallel::make_serving_cost), and the share of that time spent
+// pricing steps (the same step shapes priced again on their own).
+//
 //   $ ./engine_bench [--quick] [out.json]
 //
 // Emits BENCH_engine.json-style records through the RunReport schema; the
 // committed baseline lives at bench/baselines/BENCH_engine.json and
-// tools/check_engine_perf.py gates ci.sh bench on it (>30% events/sec
-// regression fails). --quick shrinks the DAGs ~5x for the CI gate.
+// tools/check_engine_perf.py gates ci.sh bench on it (>30% events/sec or
+// requests/sec regression fails). --quick shrinks the DAGs ~5x for the CI
+// gate; the serving trace is the same in both modes.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -27,9 +34,15 @@
 #include <string>
 #include <vector>
 
+#include "compress/settings.h"
+#include "core/compression_plan.h"
+#include "nn/bert.h"
 #include "obs/json.h"
 #include "obs/report.h"
+#include "parallel/mp_simulator.h"
 #include "sim/engine.h"
+#include "sim/hardware.h"
+#include "sim/serving.h"
 
 namespace {
 
@@ -184,6 +197,85 @@ Row bench_graph(const char* name, const Engine& e, int reps) {
   return row;
 }
 
+struct ServingSweep {
+  int settings = 0;
+  int requests = 0;
+  int64_t steps = 0;
+  double requests_per_sec = 0.0;
+  double pricing_share = 0.0;
+};
+
+/// simulate_serving over every main setting on one fixed trace, timed as a
+/// whole (best of `reps`), then every step shape it priced is priced again
+/// alone to split the time between the step pricing and the scheduler.
+ServingSweep bench_serving_sweep(int reps) {
+  using namespace actcomp;
+  const nn::BertConfig model = nn::BertConfig::bert_large();
+  const parallel::ModelParallelSimulator pricer(
+      sim::ClusterSpec::aws_p3(1), model, parallel::ParallelConfig{4, 1, 1},
+      parallel::TrainJob{});
+  sim::PoissonTraceSpec spec;
+  spec.rate_per_s = 14.0;
+  spec.num_requests = 1000;
+  spec.prompt_tokens = 128;
+  spec.max_new_tokens = 32;
+  spec.seed = 1;
+  const std::vector<sim::ServingRequest> trace = sim::poisson_trace(spec);
+
+  std::vector<sim::ServingConfig> configs;
+  std::vector<std::vector<sim::StepShape>> shapes;
+  ServingSweep out;
+  for (const compress::Setting s : compress::main_settings()) {
+    sim::ServingConfig cfg;
+    cfg.max_batch = 8;
+    cfg.token_budget = 2048;
+    cfg.step_cost = parallel::make_serving_cost(
+        pricer, core::CompressionPlan::paper_default(s, model.num_layers));
+    // Untimed pass recording the shapes the scheduler asks to price.
+    sim::ServingConfig recording = cfg;
+    std::vector<sim::StepShape>& seen = shapes.emplace_back();
+    recording.step_cost = [&seen, inner = cfg.step_cost](
+                              const sim::StepShape& shape) {
+      seen.push_back(shape);
+      return inner(shape);
+    };
+    out.steps += static_cast<int64_t>(
+        sim::simulate_serving(trace, recording).steps.size());
+    configs.push_back(std::move(cfg));
+  }
+
+  double sweep_s = 1e30, pricing_s = 1e30, sink = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    sweep_s = std::min(sweep_s, once([&] {
+                for (const auto& cfg : configs) {
+                  sink += sim::simulate_serving(trace, cfg).makespan_ms;
+                }
+              }));
+    pricing_s = std::min(pricing_s, once([&] {
+                  for (size_t i = 0; i < configs.size(); ++i) {
+                    for (const auto& shape : shapes[i]) {
+                      sink += configs[i].step_cost(shape);
+                    }
+                  }
+                }));
+  }
+  if (!(sink > 0.0)) {
+    std::fprintf(stderr, "FATAL: serving_sweep priced nothing\n");
+    std::exit(1);
+  }
+  out.settings = static_cast<int>(configs.size());
+  out.requests = spec.num_requests;
+  out.requests_per_sec =
+      static_cast<double>(out.settings) * out.requests / sweep_s;
+  out.pricing_share = pricing_s / sweep_s;
+  std::printf("%-12s %9d req x %2d settings %9lld steps  %10.0f req/s  "
+              "(pricing %.0f%%)\n",
+              "serving", out.requests, out.settings,
+              static_cast<long long>(out.steps), out.requests_per_sec,
+              100.0 * out.pricing_share);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -235,6 +327,18 @@ int main(int argc, char** argv) {
       "(pipeline3d-po: what every overlap-off golden run executes), %.1fx\n"
       "floor on the event-heap path (overlap / finite-lane graphs).\n",
       best_speedup, worst_speedup);
+
+  std::printf("\n");
+  // A sweep takes tens of ms, so take the best of more repetitions.
+  const ServingSweep sw = bench_serving_sweep(quick ? 10 : 20);
+  obs::json::Value rec = obs::json::Value::object();
+  rec.set("op", "serving_sweep");
+  rec.set("settings", sw.settings);
+  rec.set("requests", sw.requests);
+  rec.set("steps", sw.steps);
+  rec.set("requests_per_sec", sw.requests_per_sec);
+  rec.set("pricing_share", sw.pricing_share);
+  report.add_record(std::move(rec));
 
   if (!out_path.empty()) {
     setenv("ACTCOMP_REPORT_DIR", ".", 0);

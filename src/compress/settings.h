@@ -60,6 +60,20 @@ inline constexpr int64_t kRefCodeA2 = 100;
 /// Bytes per kept Top-K/Random-K element (fp16 value + int32 index).
 inline constexpr int64_t kSparseBytesPerElement = 6;
 
+/// Setting families: autoencoder, Top-K, Random-K, quantization.
+inline bool is_ae(Setting s) { return s == Setting::kA1 || s == Setting::kA2; }
+inline bool is_topk(Setting s) {
+  return s == Setting::kT1 || s == Setting::kT2 || s == Setting::kT3 ||
+         s == Setting::kT4;
+}
+inline bool is_randk(Setting s) {
+  return s == Setting::kR1 || s == Setting::kR2 || s == Setting::kR3 ||
+         s == Setting::kR4;
+}
+inline bool is_quant(Setting s) {
+  return s == Setting::kQ1 || s == Setting::kQ2 || s == Setting::kQ3;
+}
+
 /// Kept-element fraction for sparsification settings; throws for others.
 double sparse_fraction(Setting s);
 /// AE code size at the given hidden size; throws for non-AE settings.

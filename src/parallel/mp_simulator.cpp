@@ -16,13 +16,6 @@ namespace sm = actcomp::sim;
 
 namespace {
 
-bool is_quant(cp::Setting s) {
-  return s == cp::Setting::kQ1 || s == cp::Setting::kQ2 || s == cp::Setting::kQ3;
-}
-bool is_ae(cp::Setting s) {
-  return s == cp::Setting::kA1 || s == cp::Setting::kA2;
-}
-
 /// Wire bytes for one compressed activation message of `numel` elements.
 int64_t wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
   switch (s) {
@@ -57,7 +50,7 @@ int64_t wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
 /// quantized path does NOT (paper §3.3: the backward engine only supports
 /// float gradients, so the gradient stays activation-sized).
 int64_t backward_wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
-  if (s == cp::Setting::kBaseline || is_quant(s)) return numel * 2;
+  if (s == cp::Setting::kBaseline || cp::is_quant(s)) return numel * 2;
   return wire_bytes(s, numel, hidden);
 }
 
@@ -253,7 +246,7 @@ IterationBreakdown ModelParallelSimulator::run(
                   sm::allreduce_ms(ll_bytes(msg_numel * 2), tp, tpl),
                   msg_numel * 2, &ll_e, &ll_d);
             }
-          } else if (is_ae(setting)) {
+          } else if (cp::is_ae(setting)) {
             fwd += overhead_.dispatch_ms;  // outside the enc/dec timers
             enc += overhead_.encode_ms(setting, msg_numel, h);
             const int64_t w = wire_bytes(setting, msg_numel, h);
@@ -552,46 +545,72 @@ InferenceStepCost ModelParallelSimulator::inference_step_cost(
   const sim::LinkSpec& tpl = tp_link();
   const cp::Setting setting = plan.setting;
 
+  // Every point of one kind costs the same within a step: each term is a
+  // pure function of the step shape, so it is priced once here and the loops
+  // below only replay the per-point `+=` sequence. Same operands in the same
+  // order, so every field is bit-identical to pricing point by point. A term
+  // is priced only if some point uses it, so no cost model sees a query (or
+  // can throw on one) that per-point pricing would not have made.
+  const auto consumer_layer = [&](int bd) {
+    return static_cast<int64_t>(bd + 1) * layers_per_stage;
+  };
+  bool tp_plain = false, tp_comp = false, bd_comp = false;
+  for (int64_t l = 0; tp > 1 && l < model_.num_layers; ++l) {
+    (plan.compresses(l) ? tp_comp : tp_plain) = true;
+  }
+  for (int bd = 0; bd + 1 < pp; ++bd) {
+    bd_comp = bd_comp || plan.compresses(consumer_layer(bd));
+  }
+  const double layer_compute_ms =
+      cluster_.gpu.compute_ms((gemm_flops + attn_flops) / tp);
+  const double plain_ms =
+      tp_plain ? sm::allreduce_ms(msg_numel * 2, tp, tpl) : 0.0;
+  double enc_ms = 0.0, coll_ms = 0.0, tp_dec_ms = 0.0, bd_dec_ms = 0.0;
+  int64_t wire = 0;
+  if (tp_comp || bd_comp) {
+    enc_ms = overhead_.encode_ms(setting, msg_numel, h);
+    wire = wire_bytes(setting, msg_numel, h);
+  }
+  if (tp_comp) {
+    // AE codes ride the all-reduce; multi-tensor wire formats cannot (§3.2):
+    // all-gather, then every rank decodes all tp messages.
+    const bool ae = cp::is_ae(setting);
+    coll_ms = ae ? sm::allreduce_ms(wire, tp, tpl)
+                 : sm::allgather_ms(wire, tp, tpl);
+    tp_dec_ms = overhead_.decode_ms(setting, msg_numel, h, ae ? 1 : tp);
+  }
+  if (bd_comp) bd_dec_ms = overhead_.decode_ms(setting, msg_numel, h);
+
   InferenceStepCost out;
   for (int64_t l = 0; l < model_.num_layers; ++l) {
-    out.compute_ms += cluster_.gpu.compute_ms((gemm_flops + attn_flops) / tp);
+    out.compute_ms += layer_compute_ms;
     if (tp > 1) {
       // The same two compressible forward collectives per layer as training
       // (attention out, MLP out); no backward all-reduces exist here.
       const bool comp = plan.compresses(l);
       for (int point = 0; point < 2; ++point) {
         if (!comp) {
-          out.tp_comm_ms += sm::allreduce_ms(msg_numel * 2, tp, tpl);
-        } else if (is_ae(setting)) {
-          out.dispatch_ms += overhead_.dispatch_ms;
-          out.enc_ms += overhead_.encode_ms(setting, msg_numel, h);
-          out.tp_comm_ms +=
-              sm::allreduce_ms(wire_bytes(setting, msg_numel, h), tp, tpl);
-          out.dec_ms += overhead_.decode_ms(setting, msg_numel, h);
+          out.tp_comm_ms += plain_ms;
         } else {
           out.dispatch_ms += overhead_.dispatch_ms;
-          out.enc_ms += overhead_.encode_ms(setting, msg_numel, h);
-          out.tp_comm_ms +=
-              sm::allgather_ms(wire_bytes(setting, msg_numel, h), tp, tpl);
-          out.dec_ms += overhead_.decode_ms(setting, msg_numel, h, tp);
+          out.enc_ms += enc_ms;
+          out.tp_comm_ms += coll_ms;
+          out.dec_ms += tp_dec_ms;
         }
       }
     }
   }
   for (int bd = 0; bd + 1 < pp; ++bd) {
-    const int64_t consumer_layer =
-        static_cast<int64_t>(bd + 1) * layers_per_stage;
-    const bool comp = plan.compresses(consumer_layer);
-    const int64_t bytes =
-        comp ? wire_bytes(setting, msg_numel, h) : msg_numel * 2;
+    const bool comp = plan.compresses(consumer_layer(bd));
+    const int64_t bytes = comp ? wire : msg_numel * 2;
     const double par = boundary_parallelism(bd);
     out.p2p_ms +=
         sm::p2p_ms(static_cast<int64_t>(static_cast<double>(bytes) / par),
                    boundary_link(bd));
     if (comp) {
       out.dispatch_ms += overhead_.dispatch_ms;
-      out.enc_ms += overhead_.encode_ms(setting, msg_numel, h);
-      out.dec_ms += overhead_.decode_ms(setting, msg_numel, h);
+      out.enc_ms += enc_ms;
+      out.dec_ms += bd_dec_ms;
     }
   }
   return out;

@@ -232,9 +232,11 @@ class ModelParallelSimulator {
   /// Scatter-gather parallelism factor on a boundary (paper's Megatron
   /// optimization splits the boundary tensor across TP ranks; the slices
   /// move in parallel over NVLink but share a single NIC or PCIe bridge).
-  /// Closed-form approximation, used only when options_.link_contention is
-  /// off; with contention on, the engine queues the slices on explicit lane
-  /// resources instead.
+  /// Closed-form approximation. Training run() uses it only when
+  /// options_.link_contention is off; with contention on, the engine queues
+  /// the slices on explicit lane resources instead. Inference pricing
+  /// (inference_step_cost) always takes this closed form, whatever
+  /// link_contention says.
   double boundary_parallelism(int boundary) const;
   /// DP-group shape on the cluster: how many of the dp peers share a node
   /// (`intra`) and how many node islands the group spans (`inter`);

@@ -10,22 +10,6 @@ namespace {
 
 namespace cp = actcomp::compress;
 
-bool is_topk(cp::Setting s) {
-  return s == cp::Setting::kT1 || s == cp::Setting::kT2 ||
-         s == cp::Setting::kT3 || s == cp::Setting::kT4;
-}
-bool is_randk(cp::Setting s) {
-  return s == cp::Setting::kR1 || s == cp::Setting::kR2 ||
-         s == cp::Setting::kR3 || s == cp::Setting::kR4;
-}
-bool is_ae(cp::Setting s) {
-  return s == cp::Setting::kA1 || s == cp::Setting::kA2;
-}
-bool is_quant(cp::Setting s) {
-  return s == cp::Setting::kQ1 || s == cp::Setting::kQ2 ||
-         s == cp::Setting::kQ3;
-}
-
 // Calibration constants — see the header table for the Table 4 anchors.
 constexpr double kTopkScanNsPerElem = 0.17;
 constexpr double kTopkSelectNsPerKept = 0.15;
@@ -58,19 +42,19 @@ double OverheadModel::encode_ms(cp::Setting setting, int64_t numel,
                                 int64_t hidden) const {
   ACTCOMP_CHECK(numel >= 0 && hidden > 0, "bad overhead query");
   if (setting == cp::Setting::kBaseline || numel == 0) return 0.0;
-  if (is_ae(setting)) {
+  if (cp::is_ae(setting)) {
     const int64_t c = cp::ae_code_size(setting, hidden);
     const double flops = 2.0 * static_cast<double>(numel) * static_cast<double>(c);
     GpuSpec g = gpu;
     g.mfu = kAeEncMfu;
     return kLaunchMs + g.compute_ms(flops);
   }
-  if (is_topk(setting)) {
+  if (cp::is_topk(setting)) {
     const int64_t k = kept_elements(setting, numel);
     return kLaunchMs + ns_to_ms(kTopkScanNsPerElem * static_cast<double>(numel) +
                                 kTopkSelectNsPerKept * static_cast<double>(k));
   }
-  if (is_randk(setting)) {
+  if (cp::is_randk(setting)) {
     const int64_t k = kept_elements(setting, numel);
     if (device_side_randomk) {
       return kLaunchMs +
@@ -81,7 +65,7 @@ double OverheadModel::encode_ms(cp::Setting setting, int64_t numel,
                                 std::pow(static_cast<double>(k),
                                          kRandkHostExponent));
   }
-  if (is_quant(setting)) {
+  if (cp::is_quant(setting)) {
     return kLaunchMs + ns_to_ms(kQuantEncNsPerElem * static_cast<double>(numel));
   }
   ACTCOMP_ASSERT(false, "unhandled setting in encode_ms");
@@ -91,7 +75,7 @@ double OverheadModel::decode_ms(cp::Setting setting, int64_t numel,
                                 int64_t hidden, int copies) const {
   ACTCOMP_CHECK(copies >= 1, "decode copies must be >= 1");
   if (setting == cp::Setting::kBaseline || numel == 0) return 0.0;
-  if (is_ae(setting)) {
+  if (cp::is_ae(setting)) {
     // AE rides all-reduce: exactly one decode GEMM regardless of TP degree.
     const int64_t c = cp::ae_code_size(setting, hidden);
     const double flops = 2.0 * static_cast<double>(numel) * static_cast<double>(c);
@@ -99,13 +83,13 @@ double OverheadModel::decode_ms(cp::Setting setting, int64_t numel,
     g.mfu = kAeDecMfu;
     return kLaunchMs + g.compute_ms(flops);
   }
-  if (is_topk(setting) || is_randk(setting)) {
+  if (cp::is_topk(setting) || cp::is_randk(setting)) {
     const int64_t k = kept_elements(setting, numel) * copies;
     return kLaunchMs +
            ns_to_ms(kSparseFillNsPerElem * static_cast<double>(numel) +
                     kSparseScatterNsPerKept * static_cast<double>(k));
   }
-  if (is_quant(setting)) {
+  if (cp::is_quant(setting)) {
     return kLaunchMs + ns_to_ms(kQuantDecNsPerElem * static_cast<double>(numel) *
                                 static_cast<double>(copies));
   }
@@ -115,7 +99,7 @@ double OverheadModel::decode_ms(cp::Setting setting, int64_t numel,
 double OverheadModel::backward_extra_ms(cp::Setting setting, int64_t numel,
                                         int64_t hidden) const {
   if (setting == cp::Setting::kBaseline || numel == 0) return 0.0;
-  if (is_ae(setting)) {
+  if (cp::is_ae(setting)) {
     // Four gradient GEMMs (dX and dW for encoder and decoder), each the size
     // of the forward codec GEMM. Anchor: A1 adds ≈ 8.5 ms of backward time
     // in Table 4.
