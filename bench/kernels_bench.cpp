@@ -23,8 +23,10 @@
 #include <vector>
 
 #include "autograd/functions.h"
+#include "compress/identity.h"
 #include "compress/lossless.h"
 #include "compress/quantize.h"
+#include "compress/randomk.h"
 #include "compress/topk.h"
 #include "compress/wire.h"
 #include "core/simd.h"
@@ -310,6 +312,10 @@ int main(int argc, char** argv) {
     const ts::Tensor xq = gen.normal(ts::Shape{64, 16384});
     cp::TopKCompressor topk(0.1);
     bench_compressor("topk(0.1)", topk, xq);
+    cp::RandomKCompressor randk(0.05, 11);
+    bench_compressor("randk(0.05)", randk, xq);
+    cp::IdentityCompressor identity;  // the fp16 wire stream
+    bench_compressor("identity", identity, xq);
     cp::QuantizeCompressor quant(4);
     bench_compressor("quant(4b)", quant, xq);
     std::printf("\n");
@@ -317,6 +323,8 @@ int main(int argc, char** argv) {
     if (!quick) {
       const ts::Tensor x = gen.normal(ts::Shape{256, 16384});
       bench_compressor("topk(0.1)", topk, x);
+      bench_compressor("randk(0.05)", randk, x);
+      bench_compressor("identity", identity, x);
       bench_compressor("quant(4b)", quant, x);
     }
   }

@@ -66,7 +66,8 @@ tsan() {
     -DACTCOMP_WERROR=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
-    --target core_test tensor_test compress_test obs_test \
+    --target core_test tensor_test compress_test codec_fastpath_test \
+             fuzz_test obs_test \
              checkpoint_test recovery_test topology_test \
              kv_cache_test serving_test serving_resilience_test \
              property_test
@@ -84,7 +85,9 @@ tsan() {
   # determinism contract (same report at any thread count) is a TSan claim.
   # The lossless wire suites join through compress/ (codec unit tests) and
   # the property/Lossless|Stacked slices: the stacked compressor drives the
-  # Top-K/quantize inner codecs' parallel_for gathers under TSan.
+  # Top-K/quantize inner codecs' parallel_for gathers under TSan. The codec
+  # fast-path differential tests and the decoder fuzz harness are compress/
+  # too: radix-select chunk passes and the sparse scatter at 1-4 threads.
   # --no-tests=error guards against a prefix regression silently
   # deselecting the slice.
   TSAN_OPTIONS=halt_on_error=1 \

@@ -1,6 +1,7 @@
 #include "compress/lossless.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -10,6 +11,10 @@
 #include "tensor/fp16.h"
 
 namespace actcomp::compress {
+
+// The Huffman coder moves whole little-endian words in and out of the stream.
+static_assert(std::endian::native == std::endian::little,
+              "the wire formats assume a little-endian host");
 
 namespace {
 
@@ -26,6 +31,8 @@ constexpr int64_t kPlanePrefixBytes = 9;
 /// Longest Huffman code the encoder will emit; deeper trees (possible only
 /// on adversarial distributions) fall back to the raw plane encoding.
 constexpr int kMaxCodeLen = 32;
+/// Bits resolved per Huffman decode table lookup (a 4 KiB table).
+constexpr int kTableBits = 11;
 /// Decoder sanity bound: PackBits expands at most 64x (2 encoded bytes ->
 /// up to 128 raw) and Huffman at most 8x (>= 1 bit per symbol), so no valid
 /// container's raw payload exceeds 512x its encoded size plus small headers.
@@ -234,6 +241,10 @@ bool canonical_codes(const uint8_t lens[256], uint32_t codes[256]) {
   return true;
 }
 
+}  // namespace
+
+namespace detail {
+
 std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
                                                      int64_t n) {
   int64_t counts[256] = {};
@@ -245,32 +256,39 @@ std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
 
   // Bit-reverse each code once so emission is a single shift-or per symbol.
   uint32_t rev[256] = {};
+  uint64_t total_bits = 0;
   for (int s = 0; s < 256; ++s) {
     for (int b = 0; b < lens[s]; ++b) {
       rev[s] |= ((codes[s] >> b) & 1u) << (lens[s] - 1 - b);
     }
+    total_bits += static_cast<uint64_t>(counts[s]) * lens[s];
   }
-  std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(256 + n / 2 + 16));
-  for (int s = 0; s < 256; ++s) out.push_back(static_cast<std::byte>(lens[s]));
+  // Sized exactly once; the accumulator flushes whole 32-bit little-endian
+  // words (the same bytes as flushing it a byte at a time).
+  std::vector<std::byte> out(256 + static_cast<size_t>((total_bits + 7) / 8));
+  for (int s = 0; s < 256; ++s) out[static_cast<size_t>(s)] = static_cast<std::byte>(lens[s]);
+  std::byte* w = out.data() + 256;
   uint64_t acc = 0;
   int nbits = 0;
   for (int64_t i = 0; i < n; ++i) {
     const auto s = static_cast<uint8_t>(p[i]);
     acc |= static_cast<uint64_t>(rev[s]) << nbits;
     nbits += lens[s];
-    while (nbits >= 8) {
-      out.push_back(static_cast<std::byte>(acc & 0xFFu));
-      acc >>= 8;
-      nbits -= 8;
+    if (nbits >= 32) {
+      const auto word = static_cast<uint32_t>(acc);
+      std::memcpy(w, &word, 4);
+      w += 4;
+      acc >>= 32;
+      nbits -= 32;
     }
   }
-  if (nbits > 0) out.push_back(static_cast<std::byte>(acc & 0xFFu));
+  for (; nbits > 0; nbits -= 8) {
+    *w++ = static_cast<std::byte>(acc & 0xFFu);
+    acc >>= 8;
+  }
   return out;
 }
 
-/// Decodes exactly `expected` symbols and requires the stream to be exactly
-/// consumed (headers + ceil(bits/8) bytes).
 std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
                                       int64_t expected) {
   ACTCOMP_CHECK(n >= 256, "truncated Huffman length table on wire");
@@ -311,12 +329,53 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
     }
   }
 
+  // Lookup table over the next kTableBits stream bits (bit 0 = the next bit,
+  // i.e. the code's MSB): entry = symbol | length << 8 for every window that
+  // starts with a code of length <= kTableBits, 0 otherwise. The check above
+  // rejected over-full tables, so the canonical codes are prefix-free and a
+  // hit is exactly the symbol the bit walk below finds after `length` bits.
+  uint16_t table[1 << kTableBits] = {};
+  for (int l = 1; l <= kTableBits; ++l) {
+    for (uint32_t c = 0; c < count[l]; ++c) {
+      const uint32_t code = first[l] + c;
+      uint32_t rev = 0;
+      for (int b = 0; b < l; ++b) rev |= ((code >> b) & 1u) << (l - 1 - b);
+      const auto entry = static_cast<uint16_t>(syms[offset[l] + c] | (l << 8));
+      for (uint32_t hi = 0; hi < (1u << (kTableBits - l)); ++hi) {
+        table[rev | (hi << l)] = entry;
+      }
+    }
+  }
+
   const std::byte* bits = p + 256;
-  const int64_t nbits_total = (n - 256) * 8;
+  const int64_t nbytes = n - 256;
+  const int64_t nbits_total = nbytes * 8;
   int64_t bitpos = 0;
-  std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(expected));
-  for (int64_t i = 0; i < expected; ++i) {
+  std::vector<std::byte> out(static_cast<size_t>(expected));
+  int64_t i = 0;
+  while (i < expected) {
+    // Table decode while a full 8-byte window is readable: it holds >= 57
+    // unread bits, so each lookup stays inside the stream.
+    while ((bitpos >> 3) + 8 <= nbytes) {
+      uint64_t window = 0;
+      std::memcpy(&window, bits + (bitpos >> 3), 8);
+      window >>= bitpos & 7;
+      int avail = 64 - static_cast<int>(bitpos & 7);
+      uint16_t e = 0;
+      while (avail >= kTableBits && i < expected &&
+             (e = table[window & ((1u << kTableBits) - 1)]) != 0) {
+        const int len = e >> 8;
+        out[static_cast<size_t>(i++)] = static_cast<std::byte>(e & 0xFF);
+        window >>= len;
+        avail -= len;
+        bitpos += len;
+      }
+      if (i == expected || e == 0) break;
+    }
+    if (i == expected) break;
+    // Canonical bit walk for one symbol: codes longer than the table, the
+    // stream tail, and every malformed stream take this path, so the table
+    // changes no accept/reject decision, bit count or exception.
     uint32_t code = 0;
     int len = 0;
     for (;;) {
@@ -327,10 +386,11 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
       code = (code << 1) | static_cast<uint32_t>(bit);
       ++len;
       ACTCOMP_CHECK(len <= kMaxCodeLen, "invalid Huffman code on wire");
-      if (count[len] > 0 && code >= first[len] &&
-          code < first[len] + count[len]) {
-        out.push_back(static_cast<std::byte>(
-            syms[offset[len] + (code - first[len])]));
+      // Compare by difference: first + count wraps to 0 for the all-ones
+      // 32-bit code, the last code of any complete 32-bit-deep tree.
+      if (code >= first[len] && code - first[len] < count[len]) {
+        out[static_cast<size_t>(i++)] = static_cast<std::byte>(
+            syms[offset[len] + (code - first[len])]);
         break;
       }
     }
@@ -339,6 +399,10 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
                 "Huffman bitstream has trailing bytes on wire");
   return out;
 }
+
+}  // namespace detail
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Plane split / merge.
@@ -368,11 +432,11 @@ std::pair<LosslessAlgo, std::vector<std::byte>> encode_plane(
       coded = rle_encode(p, n);
       break;
     case LosslessAlgo::kHuffman:
-      coded = huffman_encode(p, n);
+      coded = detail::huffman_encode(p, n);
       break;
     case LosslessAlgo::kRleHuffman: {
       const std::vector<std::byte> rle = rle_encode(p, n);
-      if (auto h = huffman_encode(rle.data(), static_cast<int64_t>(rle.size()))) {
+      if (auto h = detail::huffman_encode(rle.data(), static_cast<int64_t>(rle.size()))) {
         std::vector<std::byte> stream;
         stream.reserve(8 + h->size());
         wire::append_pod<uint64_t>(stream, static_cast<uint64_t>(rle.size()));
@@ -397,14 +461,14 @@ std::vector<std::byte> decode_plane(LosslessAlgo algo, const std::byte* p,
     case LosslessAlgo::kRle:
       return rle_decode(p, n, expected);
     case LosslessAlgo::kHuffman:
-      return huffman_decode(p, n, expected);
+      return detail::huffman_decode(p, n, expected);
     case LosslessAlgo::kRleHuffman: {
       ByteReader r{p, n};
       const auto rle_len = static_cast<int64_t>(r.get<uint64_t>());
       ACTCOMP_CHECK(rle_len >= 0 && rle_len <= kMaxExpansion * (n - r.off) + 8,
                     "implausible RLE stream size on wire");
       const std::vector<std::byte> rle =
-          huffman_decode(p + r.off, n - r.off, rle_len);
+          detail::huffman_decode(p + r.off, n - r.off, rle_len);
       return rle_decode(rle.data(), static_cast<int64_t>(rle.size()), expected);
     }
   }
@@ -578,9 +642,12 @@ std::vector<std::byte> LosslessCodec::decode(
                   "single-chunk container must have chunk_raw == raw_bytes");
   } else {
     ACTCOMP_CHECK(chunk_raw >= 1, "multi-chunk container needs chunk_raw >= 1");
-    ACTCOMP_CHECK(chunk_raw * (chunks - 1) < raw && raw <= chunk_raw * chunks,
+    // chunk_raw·(n-1) < raw <= chunk_raw·n, i.e. n = ceil(raw / chunk_raw),
+    // in a form a hostile chunk_raw cannot overflow.
+    ACTCOMP_CHECK(chunk_raw <= raw && chunks == (raw + chunk_raw - 1) / chunk_raw,
                   "chunk table inconsistent with raw_bytes");
   }
+  ACTCOMP_CHECK(chunks <= (r.n - r.off) / 8, "truncated lossless container");
   std::vector<int64_t> sizes(static_cast<size_t>(chunks));
   int64_t total = 0;
   for (auto& s : sizes) {
@@ -741,6 +808,8 @@ tensor::Tensor StackedCompressor::do_decode(const CompressedMessage& msg) const 
   size_t off = 0;
   const auto nseg = static_cast<int64_t>(wire::read_pod<uint32_t>(msg.body, off));
   ACTCOMP_CHECK(nseg >= 1, "stacked message needs >= 1 segment");
+  ACTCOMP_CHECK(static_cast<size_t>(nseg) <= (msg.body.size() - off) / 8,
+                "truncated stacked segment table on wire");
   std::vector<int64_t> sizes(static_cast<size_t>(nseg));
   for (auto& s : sizes) {
     s = static_cast<int64_t>(wire::read_pod<uint64_t>(msg.body, off));
@@ -749,7 +818,7 @@ tensor::Tensor StackedCompressor::do_decode(const CompressedMessage& msg) const 
   inner.shape_dims = msg.shape_dims;
   for (int64_t i = 0; i < nseg; ++i) {
     const int64_t len = sizes[static_cast<size_t>(i)];
-    ACTCOMP_CHECK(off + static_cast<size_t>(len) <= msg.body.size(),
+    ACTCOMP_CHECK(len >= 0 && static_cast<size_t>(len) <= msg.body.size() - off,
                   "truncated stacked segment on wire");
     // The container header carries its own split, so decode needs no layout.
     const std::vector<std::byte> container(

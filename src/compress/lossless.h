@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -179,5 +180,19 @@ class StackedCompressor : public Compressor {
   LosslessCodec codec_;
   SegmentLayoutFn layout_;
 };
+
+namespace detail {
+
+/// The Huffman plane coder of WIRE_FORMATS.md §4.5, exposed for the
+/// differential and fuzz tests. Encode returns nullopt when the tree is
+/// deeper than 32 bits (the caller then stores the plane raw).
+std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
+                                                     int64_t n);
+/// Decodes exactly `expected` symbols and requires the stream to be exactly
+/// consumed; throws std::invalid_argument on any malformed stream.
+std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
+                                      int64_t expected);
+
+}  // namespace detail
 
 }  // namespace actcomp::compress

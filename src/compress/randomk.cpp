@@ -1,15 +1,14 @@
 #include "compress/randomk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "autograd/functions.h"
 #include "compress/wire.h"
 #include "core/threadpool.h"
 #include "tensor/check.h"
-#include "tensor/fp16.h"
 #include "tensor/kernels/kernel_table.h"
 #include "tensor/ops.h"
 
@@ -42,61 +41,25 @@ int64_t RandomKCompressor::k_for(int64_t numel) const {
 CompressedMessage RandomKCompressor::do_encode(const tensor::Tensor& x) {
   const int64_t n = x.numel();
   std::vector<int64_t> kept = gen_.sample_without_replacement(n, k_for(n));
-  std::sort(kept.begin(), kept.end());
+  // The sample is duplicate-free, so a bitmap over [0, n) sorts it in one
+  // pass over the set bits.
+  std::vector<uint64_t> bits(static_cast<size_t>((n + 63) / 64), 0);
+  for (int64_t j : kept) bits[static_cast<size_t>(j >> 6)] |= uint64_t{1} << (j & 63);
+  size_t o = 0;
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      kept[o++] = static_cast<int64_t>(w * 64) + std::countr_zero(b);
+    }
+  }
   CompressedMessage msg;
   msg.shape_dims = x.shape().dims();
-  const int64_t k = static_cast<int64_t>(kept.size());
-  msg.body.resize(static_cast<size_t>(k) * 6);
-  const auto d = x.data();
-  std::byte* idx_base = msg.body.data();
-  std::byte* val_base = msg.body.data() + static_cast<size_t>(k) * 4;
-  // Gather kept values per chunk, batch-convert through the SIMD fp16
-  // kernel (same bit converter, same wire bytes).
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  core::parallel_for(0, k, kEwGrain, [&](int64_t b, int64_t e) {
-    const int64_t len = e - b;
-    std::vector<float> vals(static_cast<size_t>(len));
-    std::vector<uint16_t> half(static_cast<size_t>(len));
-    for (int64_t i = b; i < e; ++i) {
-      const int64_t src = kept[static_cast<size_t>(i)];
-      const int32_t j = static_cast<int32_t>(src);
-      std::memcpy(idx_base + i * 4, &j, 4);
-      vals[static_cast<size_t>(i - b)] = d[static_cast<size_t>(src)];
-    }
-    kt.fp16_encode(vals.data(), half.data(), len);
-    std::memcpy(val_base + b * 2, half.data(), static_cast<size_t>(len) * 2);
-  });
+  msg.body = wire::encode_sparse(x, kept);
   return msg;
 }
 
 tensor::Tensor RandomKCompressor::do_decode(const CompressedMessage& msg) const {
   tensor::Shape shape{msg.shape_dims};
-  const int64_t k = k_for(shape.numel());
-  ACTCOMP_CHECK(static_cast<size_t>(k) * 6 <= msg.body.size(),
-                "truncated random-k wire message");
-  tensor::Tensor out{shape};
-  auto d = out.data();
-  const std::byte* idx_base = msg.body.data();
-  const std::byte* val_base = msg.body.data() + static_cast<size_t>(k) * 4;
-  const int64_t numel = shape.numel();
-  // Sampling is without replacement, so wire indices are unique and the
-  // parallel scatter writes disjoint elements. Values batch-decode through
-  // the SIMD fp16 kernel.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  core::parallel_for(0, k, kEwGrain, [&](int64_t b, int64_t e) {
-    const int64_t len = e - b;
-    std::vector<uint16_t> half(static_cast<size_t>(len));
-    std::vector<float> vals(static_cast<size_t>(len));
-    std::memcpy(half.data(), val_base + b * 2, static_cast<size_t>(len) * 2);
-    kt.fp16_decode(half.data(), vals.data(), len);
-    for (int64_t i = b; i < e; ++i) {
-      int32_t j = 0;
-      std::memcpy(&j, idx_base + i * 4, 4);
-      ACTCOMP_CHECK(j >= 0 && j < numel, "random-k index out of range on wire");
-      d[static_cast<size_t>(j)] = vals[static_cast<size_t>(i - b)];
-    }
-  });
-  return out;
+  return wire::decode_sparse(msg.body, shape, k_for(shape.numel()), "random-k");
 }
 
 autograd::Variable RandomKCompressor::apply(const autograd::Variable& x) {

@@ -3,26 +3,40 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <sstream>
 
 #include "compress/wire.h"
 #include "core/threadpool.h"
 #include "tensor/check.h"
-#include "tensor/fp16.h"
 #include "tensor/kernels/kernel_table.h"
 
 namespace actcomp::compress {
 
 namespace {
 
-// Fixed chunk width for the parallel candidate pass. A constant (never
-// derived from the thread count) keeps the candidate layout — and therefore
-// the selected set — identical for any ACTCOMP_THREADS.
+// Fixed chunk width for the radix histogram and emit passes. A constant
+// (never derived from the thread count) keeps every per-chunk count, and
+// therefore the selected set, identical for any ACTCOMP_THREADS.
 constexpr int64_t kChunk = int64_t{1} << 16;
 
 // Elements per parallel chunk for the gather/scatter loops.
 constexpr int64_t kEwGrain = int64_t{1} << 13;
+
+// Radix digits over the 31-bit magnitude key, most significant first:
+// bits [20, 31), [10, 20), [0, 10). An 11-bit histogram is 8 KiB per chunk,
+// so a 12k-element activation pays for one small table, not a 64k-entry one.
+constexpr int kDigitShift[] = {20, 10, 0};
+constexpr int kDigitBits[] = {11, 10, 10};
+constexpr int kBuckets = 1 << 11;
+
+// |x| as an order-preserving integer: clearing the sign bit (what ew_abs and
+// fabs do) leaves non-negative floats whose bit patterns sort exactly like
+// their values, with +inf above every finite value and NaN above +inf.
+inline uint32_t magnitude_key(float v) {
+  uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return u & 0x7FFFFFFFu;
+}
 
 }  // namespace
 
@@ -47,128 +61,91 @@ int64_t TopKCompressor::k_for(int64_t numel) const {
 std::vector<int64_t> TopKCompressor::select(const tensor::Tensor& x) const {
   const int64_t n = x.numel();
   const int64_t k = k_for(n);
-  const auto d = x.data();
-  // Magnitudes are precomputed by the SIMD abs kernel so the comparator is
-  // a plain buffer read. ew_abs clears the sign bit exactly like fabs, so
-  // the comparator sees the same floats — and picks the same set — as the
-  // old on-the-fly version.
-  std::vector<float> mag(static_cast<size_t>(n));
-  {
-    const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-    core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
-      kt.ew_abs(d.data(), mag.data(), lo, hi);
-    });
-  }
-  // Strict total order: |magnitude| descending, index ascending as the
-  // tie-break. Under a total order the top-k *set* is unique, which is what
-  // makes the chunked pass below exact rather than approximate.
-  const auto before = [&](int64_t a, int64_t b) {
-    const float fa = mag[static_cast<size_t>(a)];
-    const float fb = mag[static_cast<size_t>(b)];
-    if (fa != fb) return fa > fb;
-    return a < b;
-  };
-
-  if (n <= 2 * kChunk || k == n) {
-    // Small inputs: the seed path. nth_element + sort of the head is
-    // O(n + k log k), matching a device topk.
-    std::vector<int64_t> idx(static_cast<size_t>(n));
-    std::iota(idx.begin(), idx.end(), 0);
-    std::nth_element(idx.begin(), idx.begin() + k, idx.end(), before);
-    idx.resize(static_cast<size_t>(k));
-    std::sort(idx.begin(), idx.end());  // ascending index order on the wire
-    return idx;
-  }
-
-  // Parallel exact top-k: each fixed-width chunk reduces to its own top
-  // min(k, chunk_len) candidates. Any member of the global top-k is by
-  // definition among the top-k of its chunk, so the candidate union
-  // provably contains the answer; a final nth_element over it reproduces
-  // the seed's selection exactly.
+  if (k == 0) return {};
+  const float* d = x.data().data();
   const int64_t nchunks = (n + kChunk - 1) / kChunk;
-  std::vector<int64_t> counts(static_cast<size_t>(nchunks));
-  std::vector<int64_t> offsets(static_cast<size_t>(nchunks) + 1, 0);
-  for (int64_t c = 0; c < nchunks; ++c) {
-    const int64_t len = std::min(kChunk, n - c * kChunk);
-    counts[static_cast<size_t>(c)] = std::min(k, len);
-    offsets[static_cast<size_t>(c) + 1] =
-        offsets[static_cast<size_t>(c)] + counts[static_cast<size_t>(c)];
+  const auto chunk_end = [&](int64_t c) { return std::min(n, (c + 1) * kChunk); };
+
+  // Radix select of T, the k-th largest key. Each pass histograms the next
+  // digit of the keys that share T's digits so far, per fixed-width chunk,
+  // then walks the buckets from the top. `above[c]` accumulates how many of
+  // chunk c's keys are strictly greater than T.
+  std::vector<uint32_t> hist(static_cast<size_t>(nchunks) * kBuckets);
+  std::vector<int64_t> above(static_cast<size_t>(nchunks), 0);
+  uint32_t prefix = 0;   // T's digits chosen so far
+  int64_t rank = k;      // T's rank among the keys that share `prefix`
+  uint32_t digit = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    const int shift = kDigitShift[pass];
+    const uint32_t mask = (uint32_t{1} << kDigitBits[pass]) - 1;
+    const int hi_shift = shift + kDigitBits[pass];
+    std::fill(hist.begin(), hist.end(), 0u);
+    core::parallel_for(0, nchunks, 1, [&](int64_t c0, int64_t c1) {
+      for (int64_t c = c0; c < c1; ++c) {
+        uint32_t* h = hist.data() + c * kBuckets;
+        for (int64_t i = c * kChunk, e = chunk_end(c); i < e; ++i) {
+          const uint32_t key = magnitude_key(d[i]);
+          if ((key >> hi_shift) == prefix) ++h[(key >> shift) & mask];
+        }
+      }
+    });
+    int64_t greater = 0;
+    for (digit = mask;; --digit) {
+      int64_t count = 0;
+      for (int64_t c = 0; c < nchunks; ++c) count += hist[c * kBuckets + digit];
+      if (greater + count >= rank) break;
+      greater += count;
+    }
+    rank -= greater;
+    for (int64_t c = 0; c < nchunks; ++c) {
+      const uint32_t* h = hist.data() + c * kBuckets;
+      for (uint32_t b = digit + 1; b <= mask; ++b) above[c] += h[b];
+    }
+    prefix = (prefix << kDigitBits[pass]) | digit;
   }
-  std::vector<int64_t> cand(static_cast<size_t>(offsets.back()));
+  const uint32_t threshold = prefix;
+
+  // Emit in ascending index order: every key above T, plus the first `rank`
+  // keys equal to T (the lowest-index ties). That is exactly the top-k set
+  // under (|x| desc, index asc), already in wire order. Per-chunk offsets
+  // come from the integer counts, so the layout is thread-count independent.
+  std::vector<int64_t> offset(static_cast<size_t>(nchunks) + 1, 0);
+  std::vector<int64_t> ties(static_cast<size_t>(nchunks), 0);
+  int64_t ties_left = rank;
+  for (int64_t c = 0; c < nchunks; ++c) {
+    ties[c] = std::min<int64_t>(ties_left, hist[c * kBuckets + digit]);
+    ties_left -= ties[c];
+    offset[c + 1] = offset[c] + above[c] + ties[c];
+  }
+  std::vector<int64_t> kept(static_cast<size_t>(k));
   core::parallel_for(0, nchunks, 1, [&](int64_t c0, int64_t c1) {
     for (int64_t c = c0; c < c1; ++c) {
-      const int64_t b = c * kChunk;
-      const int64_t len = std::min(kChunk, n - b);
-      const int64_t kc = counts[static_cast<size_t>(c)];
-      std::vector<int64_t> idx(static_cast<size_t>(len));
-      std::iota(idx.begin(), idx.end(), b);
-      if (kc < len) std::nth_element(idx.begin(), idx.begin() + kc, idx.end(), before);
-      std::copy(idx.begin(), idx.begin() + kc,
-                cand.begin() + offsets[static_cast<size_t>(c)]);
+      int64_t* out = kept.data() + offset[c];
+      int64_t tie_quota = ties[c];
+      for (int64_t i = c * kChunk, e = chunk_end(c); i < e; ++i) {
+        const uint32_t key = magnitude_key(d[i]);
+        if (key > threshold) {
+          *out++ = i;
+        } else if (key == threshold && tie_quota > 0) {
+          *out++ = i;
+          --tie_quota;
+        }
+      }
     }
   });
-  std::nth_element(cand.begin(), cand.begin() + k, cand.end(), before);
-  cand.resize(static_cast<size_t>(k));
-  std::sort(cand.begin(), cand.end());
-  return cand;
+  return kept;
 }
 
 CompressedMessage TopKCompressor::do_encode(const tensor::Tensor& x) {
-  const std::vector<int64_t> kept = select(x);
-  const int64_t k = static_cast<int64_t>(kept.size());
   CompressedMessage msg;
   msg.shape_dims = x.shape().dims();
-  msg.body.resize(static_cast<size_t>(k) * 6);
-  const auto d = x.data();
-  std::byte* idx_base = msg.body.data();
-  std::byte* val_base = msg.body.data() + static_cast<size_t>(k) * 4;
-  // Gather the kept values per chunk, then batch-convert through the SIMD
-  // fp16 kernel (same bit converter, same wire bytes).
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  core::parallel_for(0, k, kEwGrain, [&](int64_t b, int64_t e) {
-    const int64_t len = e - b;
-    std::vector<float> vals(static_cast<size_t>(len));
-    std::vector<uint16_t> half(static_cast<size_t>(len));
-    for (int64_t i = b; i < e; ++i) {
-      const int32_t j = static_cast<int32_t>(kept[static_cast<size_t>(i)]);
-      std::memcpy(idx_base + i * 4, &j, 4);
-      vals[static_cast<size_t>(i - b)] =
-          d[static_cast<size_t>(kept[static_cast<size_t>(i)])];
-    }
-    kt.fp16_encode(vals.data(), half.data(), len);
-    std::memcpy(val_base + b * 2, half.data(), static_cast<size_t>(len) * 2);
-  });
+  msg.body = wire::encode_sparse(x, select(x));
   return msg;
 }
 
 tensor::Tensor TopKCompressor::do_decode(const CompressedMessage& msg) const {
   tensor::Shape shape{msg.shape_dims};
-  const int64_t k = k_for(shape.numel());
-  ACTCOMP_CHECK(static_cast<size_t>(k) * 6 <= msg.body.size(),
-                "truncated top-k wire message");
-  tensor::Tensor out{shape};
-  auto d = out.data();
-  const std::byte* idx_base = msg.body.data();
-  const std::byte* val_base = msg.body.data() + static_cast<size_t>(k) * 4;
-  const int64_t numel = shape.numel();
-  // The encoder emits strictly ascending, unique indices, so per-element
-  // writes are disjoint and the scatter parallelizes cleanly. Values are
-  // batch-decoded through the SIMD fp16 kernel, then scattered.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  core::parallel_for(0, k, kEwGrain, [&](int64_t b, int64_t e) {
-    const int64_t len = e - b;
-    std::vector<uint16_t> half(static_cast<size_t>(len));
-    std::vector<float> vals(static_cast<size_t>(len));
-    std::memcpy(half.data(), val_base + b * 2, static_cast<size_t>(len) * 2);
-    kt.fp16_decode(half.data(), vals.data(), len);
-    for (int64_t i = b; i < e; ++i) {
-      int32_t j = 0;
-      std::memcpy(&j, idx_base + i * 4, 4);
-      ACTCOMP_CHECK(j >= 0 && j < numel, "top-k index out of range on wire");
-      d[static_cast<size_t>(j)] = vals[static_cast<size_t>(i - b)];
-    }
-  });
-  return out;
+  return wire::decode_sparse(msg.body, shape, k_for(shape.numel()), "top-k");
 }
 
 tensor::Tensor TopKCompressor::round_trip(const tensor::Tensor& x) {

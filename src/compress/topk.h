@@ -4,6 +4,17 @@
 // paper uses torch.topk over the whole activation) and transmits
 // (value: fp16, index: int32) pairs. The backward pass is the kept-element
 // mask: y = m ⊙ x  ⇒  ∂y/∂x = m.
+//
+// Selection is exact under the strict order (|x| descending, index
+// ascending): the top-k set is unique, so encode, round_trip and the
+// backward mask agree, at any thread count. It is an exact radix select
+// over the sign-cleared bit patterns of x, which sort exactly like |x|
+// (DESIGN.md §10): three digit passes find the k-th largest key T, and one
+// ascending scan emits every index above T plus the lowest-index ties at T,
+// already in wire order.
+//
+// NaN inputs: the key order ranks NaN above +inf (and NaNs among themselves
+// by payload bits, then index), so a NaN is always kept before any number.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +44,8 @@ class TopKCompressor final : public Compressor {
                      const tensor::Tensor& input) const override;
 
  private:
-  /// Indices of the k largest-|x| elements (ties broken by lower index).
+  /// Ascending indices of the k largest-|x| elements (ties broken by lower
+  /// index; NaN ranks above +inf).
   std::vector<int64_t> select(const tensor::Tensor& x) const;
 
   double fraction_;

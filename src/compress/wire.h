@@ -28,11 +28,26 @@ T read_pod(const std::vector<std::byte>& buf, size_t& off) {
   return v;
 }
 
-/// Append every element of `t` as IEEE fp16.
+/// Append every element of `t` as IEEE fp16 (one batch conversion).
 void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t);
 
-/// Read `n` fp16 values starting at `off` into fp32.
+/// Read `n` fp16 values starting at `off` into fp32. Throws
+/// std::invalid_argument ("truncated wire message") unless all 2n bytes are
+/// present; `off` then advances past them.
 std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
                              int64_t n);
+
+/// The T*/R* body (WIRE_FORMATS.md §3.3): i32 index[k] ++ fp16 value[k] for
+/// the strictly ascending indices `kept` into `x`.
+std::vector<std::byte> encode_sparse(const tensor::Tensor& x,
+                                     const std::vector<int64_t>& kept);
+
+/// Inverse of encode_sparse for a tensor of `shape` with `k` kept elements;
+/// dropped elements decode as zero. Throws std::invalid_argument, naming
+/// `what` ("top-k", "random-k"), unless the body is exactly 6k bytes and its
+/// indices are in range and strictly ascending.
+tensor::Tensor decode_sparse(const std::vector<std::byte>& body,
+                             const tensor::Shape& shape, int64_t k,
+                             const char* what);
 
 }  // namespace actcomp::compress::wire

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 #include "tensor/check.h"
 
@@ -48,19 +47,34 @@ std::vector<int64_t> Generator::sample_without_replacement(int64_t n, int64_t k)
   ACTCOMP_CHECK(k >= 0 && k <= n,
                 "cannot sample " << k << " distinct values from [0, " << n << ")");
   // Partial Fisher–Yates on a sparse permutation: O(k) time and space even for
-  // huge n (activation tensors have millions of elements).
-  std::unordered_map<int64_t, int64_t> displaced;
-  displaced.reserve(static_cast<size_t>(k) * 2);
+  // huge n (activation tensors have millions of elements). `displaced` maps a
+  // position to the value swapped into it. It holds at most k keys, so a flat
+  // linear-probing table of >= 2k slots (load <= 1/2) never fills.
+  struct Slot {
+    int64_t key = -1;  // -1 = empty
+    int64_t value = 0;
+  };
+  int bits = 4;
+  while ((int64_t{1} << bits) < 2 * k) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<Slot> displaced(mask + 1);
+  const auto find = [&](int64_t key) -> Slot& {
+    size_t h = static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+    while (displaced[h].key != -1 && displaced[h].key != key) h = (h + 1) & mask;
+    return displaced[h];
+  };
   std::vector<int64_t> out;
   out.reserve(static_cast<size_t>(k));
   for (int64_t i = 0; i < k; ++i) {
     const int64_t j = randint(i, n - 1);
-    const auto it_j = displaced.find(j);
-    const int64_t vj = it_j == displaced.end() ? j : it_j->second;
-    const auto it_i = displaced.find(i);
-    const int64_t vi = it_i == displaced.end() ? i : it_i->second;
+    Slot& sj = find(j);
+    const int64_t vj = sj.key == j ? sj.value : j;
+    const Slot& si = find(i);
+    const int64_t vi = si.key == i ? si.value : i;
     out.push_back(vj);
-    displaced[j] = vi;
+    sj.key = j;
+    sj.value = vi;
   }
   return out;
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "autograd/functions.h"
 #include "compress/autoencoder.h"
@@ -13,6 +15,7 @@
 #include "compress/randomk.h"
 #include "compress/settings.h"
 #include "compress/topk.h"
+#include "core/threadpool.h"
 #include "tensor/fp16.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
@@ -219,6 +222,92 @@ TEST(Wire, TopKDecodeEncodeRecoversKept) {
   ts::Tensor x = random_activation(12, ts::Shape{10, 10});
   const ts::Tensor via = c.decode(c.encode(x));
   EXPECT_TRUE(ts::allclose(via, c.round_trip(x), 0, 0));
+}
+
+// ---------- sparse decoders reject what the encoder never sends ----------
+//
+// WIRE_FORMATS.md §3.3: a T*/R* body is exactly 6k bytes and its indices
+// ascend strictly. A duplicate would have two parallel scatter chunks write
+// one element (a data race), so every case runs at 1 and 4 threads, with
+// the bad index both inside a scatter chunk and across a chunk boundary.
+
+namespace {
+
+// 20000 kept elements: the decoder scatters them in 8192-element chunks.
+constexpr int64_t kSparseN = 40000;
+constexpr int64_t kChunkEdge = 8192;
+
+/// Runs `check(compressor, message)` on a valid Top-K and Random-K message
+/// at 1 and 4 threads.
+template <typename Fn>
+void for_each_sparse_message(Fn&& check) {
+  const int saved = actcomp::core::num_threads();
+  const ts::Tensor x = random_activation(21, ts::Shape{40, kSparseN / 40});
+  for (int threads : {1, 4}) {
+    actcomp::core::set_num_threads(threads);
+    cp::TopKCompressor topk(0.5);
+    cp::RandomKCompressor randk(0.5, 3);
+    for (cp::Compressor* c : {static_cast<cp::Compressor*>(&topk),
+                              static_cast<cp::Compressor*>(&randk)}) {
+      SCOPED_TRACE(c->name() + " threads=" + std::to_string(threads));
+      const cp::CompressedMessage msg = c->encode(x);
+      ASSERT_EQ(msg.body_bytes(), kSparseN / 2 * 6);
+      EXPECT_NO_THROW(c->decode(msg));
+      check(*c, msg);
+    }
+  }
+  actcomp::core::set_num_threads(saved);
+}
+
+int32_t index_at(const cp::CompressedMessage& msg, int64_t i) {
+  int32_t j = 0;
+  std::memcpy(&j, msg.body.data() + i * 4, 4);
+  return j;
+}
+
+void set_index(cp::CompressedMessage& msg, int64_t i, int32_t j) {
+  std::memcpy(msg.body.data() + i * 4, &j, 4);
+}
+
+}  // namespace
+
+TEST(SparseWire, DuplicateIndexThrows) {
+  for_each_sparse_message([](cp::Compressor& c, const cp::CompressedMessage& msg) {
+    for (int64_t at : {int64_t{11}, kChunkEdge}) {
+      cp::CompressedMessage bad = msg;
+      set_index(bad, at, index_at(msg, at - 1));
+      EXPECT_THROW(c.decode(bad), std::invalid_argument) << "at " << at;
+    }
+  });
+}
+
+TEST(SparseWire, DescendingPairThrows) {
+  for_each_sparse_message([](cp::Compressor& c, const cp::CompressedMessage& msg) {
+    for (int64_t at : {int64_t{11}, kChunkEdge}) {
+      cp::CompressedMessage bad = msg;
+      set_index(bad, at - 1, index_at(msg, at));
+      set_index(bad, at, index_at(msg, at - 1));
+      EXPECT_THROW(c.decode(bad), std::invalid_argument) << "at " << at;
+    }
+  });
+}
+
+TEST(SparseWire, TrailingByteThrows) {
+  for_each_sparse_message([](cp::Compressor& c, const cp::CompressedMessage& msg) {
+    cp::CompressedMessage bad = msg;
+    bad.body.push_back(std::byte{0});
+    EXPECT_THROW(c.decode(bad), std::invalid_argument);
+  });
+}
+
+TEST(SparseWire, TruncatedBodyThrows) {
+  for_each_sparse_message([](cp::Compressor& c, const cp::CompressedMessage& msg) {
+    for (size_t cut : {size_t{1}, size_t{6}, msg.body.size() / 2, msg.body.size()}) {
+      cp::CompressedMessage bad = msg;
+      bad.body.resize(msg.body.size() - cut);
+      EXPECT_THROW(c.decode(bad), std::invalid_argument) << "cut " << cut;
+    }
+  });
 }
 
 // ---------- autoencoder ----------
