@@ -42,11 +42,13 @@ sanitize() {
   # loudly, so require a non-empty selection. The compress/, wire and
   # Lossless suites join for the lossless codec layer: hand-rolled byte
   # coders (RLE runs, Huffman bit accumulators, plane gathers) are exactly
-  # where ASan/UBSan catch off-by-one overruns and shift UB.
+  # where ASan/UBSan catch off-by-one overruns and shift UB. autograd/ joins
+  # for the copy-free backward: row-run permute memcpys and the row-wise
+  # bias reduction through the kernel table.
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|compress/|wire|Lossless' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|compress/|autograd/|wire|Lossless' \
       --no-tests=error --output-on-failure -j "$jobs"
   # The same slice once more with the kernel dispatch pinned to the scalar
   # tier: the SIMD tiers must be a pure throughput change (DESIGN.md §15),
@@ -56,7 +58,7 @@ sanitize() {
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|compress/|wire|Lossless' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|compress/|autograd/|wire|Lossless' \
       --no-tests=error --output-on-failure -j "$jobs"
 }
 
@@ -67,7 +69,7 @@ tsan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
     --target core_test tensor_test compress_test codec_fastpath_test \
-             fuzz_test obs_test \
+             fuzz_test obs_test autograd_test autograd_fastpath_test \
              checkpoint_test recovery_test topology_test \
              kv_cache_test serving_test serving_resilience_test \
              property_test
@@ -88,11 +90,14 @@ tsan() {
   # Top-K/quantize inner codecs' parallel_for gathers under TSan. The codec
   # fast-path differential tests and the decoder fuzz harness are compress/
   # too: radix-select chunk passes and the sparse scatter at 1-4 threads.
+  # The backward kernels run on the pool too: autograd/ (the copy-free
+  # backward's differential tests at 1 and 4 threads) and autograd_test's
+  # unprefixed Variable/Grad/Loss/Dropout suites join the slice.
   # --no-tests=error guards against a prefix regression silently
   # deselecting the slice.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan \
-      -R 'core/|tensor/|compress/|obs/|checkpoint/|recovery/|topology/|kv_cache/|serving/|serving_resilience/|property/Lossless|property/Stacked' \
+      -R 'core/|tensor/|compress/|autograd/|^(Variable|Grad|Loss|Dropout)\.|obs/|checkpoint/|recovery/|topology/|kv_cache/|serving/|serving_resilience/|property/Lossless|property/Stacked' \
       --no-tests=error --output-on-failure -j "$jobs"
 }
 

@@ -24,16 +24,14 @@ int64_t row_grain(int64_t cols) {
 }
 
 // Sum `g` (shaped like the broadcast output) down to `target` (the smaller,
-// right-aligned operand shape).
-ts::Tensor reduce_to_shape(const ts::Tensor& g, const ts::Shape& target) {
+// right-aligned operand shape). sum_to_last adds whole rows in ascending
+// order, so each output element sees the same additions in the same order
+// as a flat walk adding g[i] into out[i % nb].
+ts::Tensor reduce_to_shape(ts::Tensor g, const ts::Shape& target) {
   if (g.shape() == target) return g;
-  ts::Tensor out{target};
-  const auto dg = g.data();
-  auto dout = out.data();
-  const size_t nb = static_cast<size_t>(target.numel());
-  ACTCOMP_ASSERT(nb > 0 && dg.size() % nb == 0, "broadcast reduce mismatch");
-  for (size_t i = 0; i < dg.size(); ++i) dout[i % nb] += dg[i];
-  return out;
+  const int64_t nb = target.numel();
+  ACTCOMP_ASSERT(nb > 0 && g.numel() % nb == 0, "broadcast reduce mismatch");
+  return ts::sum_to_last(g.reshape(ts::Shape{g.numel() / nb, nb})).reshape(target);
 }
 
 }  // namespace
@@ -198,7 +196,7 @@ Variable slice_last(const Variable& a, int64_t start, int64_t len) {
                 dg[static_cast<size_t>(r * len + c)];
           }
         }
-        an->accumulate(full);
+        an->accumulate(std::move(full));
       },
       "slice_last");
 }
@@ -227,7 +225,7 @@ Variable relu(const Variable& a) {
                                }
                              }
                            });
-        an->accumulate(g);
+        an->accumulate(std::move(g));
       },
       "relu");
 }
@@ -248,7 +246,7 @@ Variable tanh(const Variable& a) {
                                dg[i] = dn[i] * (1.0f - dt[i] * dt[i]);
                              }
                            });
-        an->accumulate(g);
+        an->accumulate(std::move(g));
       },
       "tanh");
 }
@@ -269,7 +267,7 @@ Variable sigmoid(const Variable& a) {
                                dg[i] = dn[i] * ds[i] * (1.0f - ds[i]);
                              }
                            });
-        an->accumulate(g);
+        an->accumulate(std::move(g));
       },
       "sigmoid");
 }
@@ -290,56 +288,80 @@ Variable bias_act(const Variable& x, const Variable& b, Act act) {
                                << xv.shape().str());
   }
 
-  ts::Tensor pre;
-  ts::Tensor out;
-  if (act == Act::kGelu) {
-    // gelu's tanh body stays scalar (libm), so the fusion is tape-level
-    // only: the exact ts::add and ts::gelu kernels run, under one node.
-    pre = ts::add(xv, bv);
-    out = ts::gelu(pre);
-  } else {  // Act::kRelu — one pass writes pre (kept for backward) and out.
-    pre = ts::Tensor{xv.shape()};
-    out = ts::Tensor{xv.shape()};
-    const auto dx = xv.data();
-    const auto db = bv.data();
-    auto dp = pre.data();
+  const auto dx = xv.data();
+  const auto db = bv.data();
+  const int64_t nb = bv.numel();
+  const int64_t n = static_cast<int64_t>(dx.size());
+  ACTCOMP_CHECK(nb > 0 || n == 0, "bias_act: empty broadcast operand");
+  // One pass each way. ReLU saves the pre-activation; GELU saves tanh of its
+  // argument instead and recomputes the pre-activation x + b (one float
+  // add, bit-identical to the forward's) in backward. Every expression is
+  // spelled in ts::add / ts::gelu / ts::gelu_grad order, so the node's
+  // bytes match the add + gelu composition at any chunking.
+  ts::Tensor saved{xv.shape()};
+  ts::Tensor out{xv.shape()};
+  {
+    auto ds = saved.data();
     auto dout = out.data();
-    const int64_t nb = bv.numel();
-    const int64_t n = static_cast<int64_t>(dx.size());
-    ACTCOMP_CHECK(nb > 0 || n == 0, "bias_act: empty broadcast operand");
-    const auto& kt = ts::kernels::active_kernels();
-    core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
-      kt.ew_bias_relu(dx.data(), db.data(), dp.data(), dout.data(), lo, hi, nb);
-    });
+    if (act == Act::kGelu) {
+      core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
+        int64_t j = lo % nb;
+        for (int64_t i = lo; i < hi; ++i) {
+          const size_t k = static_cast<size_t>(i);
+          const float pre = dx[k] + db[static_cast<size_t>(j)];
+          const float t = ts::gelu_tanh(pre);
+          ds[k] = t;
+          dout[k] = ts::gelu_from_tanh(pre, t);
+          if (++j == nb) j = 0;
+        }
+      });
+    } else {  // Act::kRelu
+      const auto& kt = ts::kernels::active_kernels();
+      core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
+        kt.ew_bias_relu(dx.data(), db.data(), ds.data(), dout.data(), lo, hi, nb);
+      });
+    }
   }
 
   const bool is_relu = act == Act::kRelu;
   return Variable::make(
       std::move(out), {x, b},
-      [xn = x.node(), bn = b.node(), pre, is_relu](Node& n) {
+      [xn = x.node(), bn = b.node(), saved, is_relu](Node& n) {
         // Replicates the composition's backward byte for byte: the
         // activation's vjp lands on the pre-activation, then the bias takes
         // the broadcast-reduced copy.
-        ts::Tensor gy;
+        ts::Tensor gy{saved.shape()};
+        auto dgy = gy.data();
+        const auto dg = n.grad.data();
+        const auto dsv = saved.data();
+        const int64_t len = static_cast<int64_t>(dgy.size());
         if (is_relu) {
-          gy = n.grad.clone();
-          auto dg = gy.data();
-          const auto dp = pre.data();
-          core::parallel_for(0, static_cast<int64_t>(dg.size()), kEwGrain,
-                             [&](int64_t b0, int64_t e0) {
-                               for (int64_t i = b0; i < e0; ++i) {
-                                 if (dp[static_cast<size_t>(i)] <= 0.0f) {
-                                   dg[static_cast<size_t>(i)] = 0.0f;
-                                 }
-                               }
-                             });
+          core::parallel_for(0, len, kEwGrain, [&](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i) {
+              const size_t k = static_cast<size_t>(i);
+              dgy[k] = dsv[k] <= 0.0f ? 0.0f : dg[k];
+            }
+          });
         } else {
-          gy = ts::mul(n.grad, ts::gelu_grad(pre));
+          // Reads x and b at backward time, as matmul's backward reads its
+          // operands: neither may be mutated between forward and backward.
+          const auto dx = xn->value.data();
+          const auto db = bn->value.data();
+          const int64_t nb = bn->value.numel();
+          core::parallel_for(0, len, kEwGrain, [&](int64_t lo, int64_t hi) {
+            int64_t j = lo % nb;
+            for (int64_t i = lo; i < hi; ++i) {
+              const size_t k = static_cast<size_t>(i);
+              const float pre = dx[k] + db[static_cast<size_t>(j)];
+              dgy[k] = dg[k] * ts::gelu_grad_from_tanh(pre, dsv[k]);
+              if (++j == nb) j = 0;
+            }
+          });
         }
-        if (xn->requires_grad) xn->accumulate(gy);
-        if (bn->requires_grad) {
-          bn->accumulate(reduce_to_shape(gy, bn->value.shape()));
-        }
+        ts::Tensor gb;
+        if (bn->requires_grad) gb = reduce_to_shape(gy, bn->value.shape());
+        if (xn->requires_grad) xn->accumulate(std::move(gy));
+        if (bn->requires_grad) bn->accumulate(std::move(gb));
       },
       "bias_act");
 }
@@ -389,7 +411,7 @@ Variable layernorm(const Variable& x, const Variable& gamma, const Variable& bet
               d[static_cast<size_t>(c)] = s;
             }
           });
-          gn->accumulate(ggamma);
+          gn->accumulate(std::move(ggamma));
         }
         if (bn->requires_grad) bn->accumulate(ts::sum_to_last(n.grad));
         if (xn->requires_grad) {
@@ -417,7 +439,7 @@ Variable layernorm(const Variable& x, const Variable& gamma, const Variable& bet
               }
             }
           });
-          xn->accumulate(gx);
+          xn->accumulate(std::move(gx));
         }
       },
       "layernorm");
@@ -448,7 +470,7 @@ Variable softmax_last(const Variable& a) {
             }
           }
         });
-        an->accumulate(gx);
+        an->accumulate(std::move(gx));
       },
       "softmax_last");
 }
@@ -495,7 +517,7 @@ Variable gather_rows(const Variable& x, const std::vector<int64_t>& rows) {
                 dn[i * static_cast<size_t>(h) + static_cast<size_t>(c)];
           }
         }
-        xn->accumulate(g);
+        xn->accumulate(std::move(g));
       },
       "gather_rows");
 }
@@ -528,7 +550,7 @@ Variable embedding(const Variable& table, const std::vector<int64_t>& ids) {
                 dn[i * static_cast<size_t>(h) + static_cast<size_t>(c)];
           }
         }
-        tn->accumulate(gt);
+        tn->accumulate(std::move(gt));
       },
       "embedding");
 }
@@ -578,7 +600,7 @@ Variable cross_entropy_impl(const Variable& logits,
             }
           }
         });
-        ln->accumulate(g);
+        ln->accumulate(std::move(g));
       },
       name);
 }

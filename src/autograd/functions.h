@@ -40,9 +40,11 @@ enum class Act { kNone, kRelu, kGelu };
 
 /// Fused y = act(x + bias), with bias broadcast right-aligned like add().
 /// Byte-identical to add(x, bias) followed by the activation — the same
-/// kernel expressions run and the backward accumulates the same terms —
-/// but the tape carries one node, and the ReLU path computes bias + clamp
-/// in a single fused pass (KernelTable::ew_bias_relu).
+/// per-element expressions run and the backward accumulates the same terms —
+/// but the tape carries one node and each direction is one pass: ReLU
+/// computes bias + clamp in KernelTable::ew_bias_relu and saves the
+/// pre-activation; GELU saves tanh of its argument instead and its backward
+/// recomputes x + bias, so x and bias must not be mutated before backward.
 Variable bias_act(const Variable& x, const Variable& bias, Act act);
 
 // ---- normalization / softmax ----

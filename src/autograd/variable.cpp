@@ -5,24 +5,44 @@
 
 #include "obs/profiler.h"
 #include "tensor/check.h"
+#include "tensor/kernels/kernel_table.h"
 #include "tensor/ops.h"
 
 namespace actcomp::autograd {
 
 namespace detail {
 
-void Node::accumulate(const tensor::Tensor& g) {
-  ACTCOMP_CHECK(g.shape() == value.shape(),
+namespace {
+
+void check_grad_shape(const Node& n, const tensor::Tensor& g) {
+  ACTCOMP_CHECK(g.shape() == n.value.shape(),
                 "gradient shape " << g.shape().str() << " != value shape "
-                                  << value.shape().str() << " in op '" << op << "'");
+                                  << n.value.shape().str() << " in op '" << n.op
+                                  << "'");
+}
+
+}  // namespace
+
+void Node::accumulate(const tensor::Tensor& g) {
+  check_grad_shape(*this, g);
   if (!has_grad) {
     grad = g.clone();
     has_grad = true;
-  } else {
-    auto dg = grad.data();
-    const auto ds = g.data();
-    for (size_t i = 0; i < dg.size(); ++i) dg[i] += ds[i];
+    return;
   }
+  float* dg = grad.data().data();
+  const int64_t n = grad.numel();
+  tensor::kernels::active_kernels().ew_add(dg, g.data().data(), dg, 0, n, n);
+}
+
+void Node::accumulate(tensor::Tensor&& g) {
+  if (has_grad || !g.storage_unique()) {
+    accumulate(static_cast<const tensor::Tensor&>(g));
+    return;
+  }
+  check_grad_shape(*this, g);
+  grad = std::move(g);
+  has_grad = true;
 }
 
 }  // namespace detail

@@ -30,7 +30,13 @@ struct Node {
   // Routes this node's grad into parents (called once, after grad is final).
   std::function<void(Node&)> backward_fn;
 
+  // Adds `g` into grad: the first gradient is copied in, later ones are
+  // added element by element in arrival order.
   void accumulate(const tensor::Tensor& g);
+  // Same sums, but the first gradient's buffer is adopted instead of copied
+  // when no other handle aliases it (a fresh temporary). Aliased storage
+  // (n.grad itself, reshape views of it) takes the copying overload's path.
+  void accumulate(tensor::Tensor&& g);
 };
 
 }  // namespace detail

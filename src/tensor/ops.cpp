@@ -141,25 +141,12 @@ Tensor relu(const Tensor& a) {
   return unary_kernel(a, kernels::active_kernels().ew_relu);
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
-
 Tensor gelu(const Tensor& a) {
-  return unary(a, [](float x) {
-    const float u = kGeluC * (x + kGeluA * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(u));
-  });
+  return unary(a, [](float x) { return gelu_from_tanh(x, gelu_tanh(x)); });
 }
 
 Tensor gelu_grad(const Tensor& a) {
-  return unary(a, [](float x) {
-    const float u = kGeluC * (x + kGeluA * x * x * x);
-    const float t = std::tanh(u);
-    const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
-    return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-  });
+  return unary(a, [](float x) { return gelu_grad_from_tanh(x, gelu_tanh(x)); });
 }
 
 Tensor map(const Tensor& a, const std::function<float(float)>& f) {
@@ -258,22 +245,42 @@ Tensor permute(const Tensor& a, const std::vector<int>& axes) {
     out_dims[static_cast<size_t>(i)] = a.dim(ax);
   }
   Tensor out{Shape(out_dims)};
-  const auto in_strides = a.shape().strides();
-  const auto out_strides = out.shape().strides();
+  const int64_t n = a.numel();
+  if (n == 0) return out;
   const auto din = a.data();
   auto dout = out.data();
-  const int64_t n = a.numel();
-  // For each output flat index, reconstruct multi-index and map to input.
-  core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t flat = lo; flat < hi; ++flat) {
-      int64_t rem = flat;
+  if (r == 0) {
+    dout[0] = din[0];
+    return out;
+  }
+  // Input stride of each output axis. The output is walked as rows of its
+  // innermost dimension: a row's source offset is decomposed once, then the
+  // row is one memcpy when that axis is contiguous in the input (head
+  // splits) or a strided gather otherwise (transposes).
+  const auto in_strides = a.shape().strides();
+  std::vector<int64_t> src_strides(static_cast<size_t>(r));
+  for (int i = 0; i < r; ++i) {
+    src_strides[static_cast<size_t>(i)] =
+        in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
+  }
+  const int64_t cols = out_dims.back();
+  const int64_t col_stride = src_strides.back();
+  core::parallel_for(0, n / cols, row_grain(cols), [&](int64_t r0, int64_t r1) {
+    for (int64_t row = r0; row < r1; ++row) {
+      int64_t rem = row;
       int64_t src = 0;
-      for (int i = 0; i < r; ++i) {
-        const int64_t coord = rem / out_strides[static_cast<size_t>(i)];
-        rem %= out_strides[static_cast<size_t>(i)];
-        src += coord * in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
+      for (int i = r - 2; i >= 0; --i) {
+        const int64_t dim = out_dims[static_cast<size_t>(i)];
+        src += (rem % dim) * src_strides[static_cast<size_t>(i)];
+        rem /= dim;
       }
-      dout[static_cast<size_t>(flat)] = din[static_cast<size_t>(src)];
+      const float* from = din.data() + src;
+      float* to = dout.data() + row * cols;
+      if (col_stride == 1) {
+        std::memcpy(to, from, static_cast<size_t>(cols) * sizeof(float));
+      } else {
+        for (int64_t c = 0; c < cols; ++c) to[c] = from[c * col_stride];
+      }
     }
   });
   return out;

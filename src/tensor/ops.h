@@ -8,6 +8,7 @@
 // Anything fancier is a caller bug and throws.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -39,6 +40,20 @@ Tensor relu(const Tensor& a);
 Tensor gelu(const Tensor& a);
 /// d gelu(x) / dx, elementwise.
 Tensor gelu_grad(const Tensor& a);
+
+/// Scalar GELU pieces. gelu/gelu_grad and autograd's fused bias_act all
+/// spell the math through these, so every path rounds identically; the
+/// fused path saves `gelu_tanh(x)` and finishes either side from it.
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+inline constexpr float kGeluA = 0.044715f;
+inline float gelu_tanh(float x) {
+  return std::tanh(kGeluC * (x + kGeluA * x * x * x));
+}
+inline float gelu_from_tanh(float x, float t) { return 0.5f * x * (1.0f + t); }
+inline float gelu_grad_from_tanh(float x, float t) {
+  const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
+  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
+}
 /// Apply an arbitrary float->float function elementwise (test/helper use).
 Tensor map(const Tensor& a, const std::function<float(float)>& f);
 
@@ -63,6 +78,7 @@ float max_all(const Tensor& a);
 /// Sum over the last dimension: [..., n] -> [...].
 Tensor sum_last(const Tensor& a);
 /// Sum over all dimensions except the last: [..., n] -> [n] (bias gradients).
+/// Rows are added in ascending order, one running sum per column.
 Tensor sum_to_last(const Tensor& a);
 /// Index of the max element along the last dimension, as floats: [..., n] -> [...].
 Tensor argmax_last(const Tensor& a);

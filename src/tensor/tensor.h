@@ -5,9 +5,10 @@
 // clone() for a deep copy. All tensors are contiguous — reshape() is free,
 // and transposes materialize.
 //
-// The library is CPU-only and single-threaded by design: the accuracy
-// experiments in this reproduction use small models, and the throughput
-// experiments run on the event simulator (src/sim), not on this math.
+// The library is CPU-only. Ops in tensor/ops.h split their loops over the
+// core::parallel_for pool with fixed chunking, so results are bit-identical
+// at any thread count (DESIGN.md §10). A Tensor handle itself is not
+// synchronized: share one across threads only for reading.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +64,10 @@ class Tensor {
   bool shares_storage_with(const Tensor& other) const {
     return storage_ == other.storage_;
   }
+
+  /// True if no other handle aliases this storage, so moving the handle
+  /// hands over the only reference to its buffer.
+  bool storage_unique() const { return storage_.use_count() == 1; }
 
   void fill(float value);
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "autograd/functions.h"
@@ -364,40 +365,51 @@ TEST(SimdIdentity, BiasActMatchesComposition) {
   ThreadGuard tguard;
   namespace ag = actcomp::autograd;
   ts::Generator gen(46);
-  const ts::Tensor xv = gen.normal(ts::Shape{5, 37});
-  ts::Tensor bv = gen.normal(ts::Shape{37});
-  bv.data()[3] = 0.0f;  // make some pre-activations land exactly on 0
+  // [5, 37] is one parallel_for chunk; [16, 24, 128] (49152 elements) spans
+  // six, so the fused loops run chunk by chunk on the pool at 4 threads.
+  // [16, 24, 96]'s chunks start mid-row, which checks where each chunk
+  // resumes the bias index.
+  for (const ts::Shape& shape :
+       {ts::Shape{5, 37}, ts::Shape{16, 24, 128}, ts::Shape{16, 24, 96}}) {
+    const int64_t h = shape.dim(-1);
+    const ts::Tensor xv = gen.normal(shape);
+    ts::Tensor bv = gen.normal(ts::Shape{h});
+    bv.data()[3] = 0.0f;  // make some pre-activations land exactly on 0
 
-  const auto run = [&](bool fused, ag::Act act) {
-    ag::Variable x = ag::Variable::leaf(xv, true);
-    ag::Variable b = ag::Variable::leaf(bv, true);
-    ag::Variable y;
-    if (fused) {
-      y = ag::bias_act(x, b, act);
-    } else {
-      ag::Variable pre = ag::add(x, b);
-      y = act == ag::Act::kGelu ? ag::gelu(pre)
-          : act == ag::Act::kRelu ? ag::relu(pre)
-                                  : pre;
-    }
-    ag::Variable loss = ag::mse_loss(y, ts::Tensor{y.value().shape()});
-    loss.backward();
-    return std::array<std::vector<uint8_t>, 3>{
-        tensor_bytes(y.value()), tensor_bytes(x.grad()), tensor_bytes(b.grad())};
-  };
-
-  for (ag::Act act : {ag::Act::kNone, ag::Act::kRelu, ag::Act::kGelu}) {
-    const auto ref = run(false, act);
-    for_each_supported_isa([&](core::SimdIsa isa) {
-      IsaGuard guard(isa);
-      for (int threads : {1, 4}) {
-        core::set_num_threads(threads);
-        const auto got = run(true, act);
-        EXPECT_EQ(got[0], ref[0]) << core::simd_isa_name(isa) << " t=" << threads;
-        EXPECT_EQ(got[1], ref[1]) << core::simd_isa_name(isa) << " t=" << threads;
-        EXPECT_EQ(got[2], ref[2]) << core::simd_isa_name(isa) << " t=" << threads;
+    const auto run = [&](bool fused, ag::Act act) {
+      ag::Variable x = ag::Variable::leaf(xv, true);
+      ag::Variable b = ag::Variable::leaf(bv, true);
+      ag::Variable y;
+      if (fused) {
+        y = ag::bias_act(x, b, act);
+      } else {
+        ag::Variable pre = ag::add(x, b);
+        y = act == ag::Act::kGelu ? ag::gelu(pre)
+            : act == ag::Act::kRelu ? ag::relu(pre)
+                                    : pre;
       }
-    });
-    core::set_num_threads(1);
+      ag::Variable loss = ag::mse_loss(y, ts::Tensor{y.value().shape()});
+      loss.backward();
+      return std::array<std::vector<uint8_t>, 3>{
+          tensor_bytes(y.value()), tensor_bytes(x.grad()), tensor_bytes(b.grad())};
+    };
+
+    for (ag::Act act : {ag::Act::kNone, ag::Act::kRelu, ag::Act::kGelu}) {
+      const auto ref = run(false, act);
+      for_each_supported_isa([&](core::SimdIsa isa) {
+        IsaGuard guard(isa);
+        for (int threads : {1, 4}) {
+          core::set_num_threads(threads);
+          const auto got = run(true, act);
+          const std::string where = shape.str() + " " +
+                                    core::simd_isa_name(isa) +
+                                    " t=" + std::to_string(threads);
+          EXPECT_EQ(got[0], ref[0]) << where;
+          EXPECT_EQ(got[1], ref[1]) << where;
+          EXPECT_EQ(got[2], ref[2]) << where;
+        }
+      });
+      core::set_num_threads(1);
+    }
   }
 }
