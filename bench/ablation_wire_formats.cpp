@@ -61,7 +61,7 @@ double t3_cell_with_bytes_per_kept(double bytes_per_kept, int64_t extra_fixed) {
   const auto r = simulator.run(plan);
   // Wire bytes actually used by the simulator (6 B per kept element):
   const int64_t numel = 32LL * 512 * 1024;
-  const int64_t k = sim::OverheadModel::kept_elements(compress::Setting::kT3, numel);
+  const int64_t k = compress::kept_elements(compress::Setting::kT3, numel);
   const double old_bytes = 6.0 * static_cast<double>(k);
   const double new_bytes =
       bytes_per_kept * static_cast<double>(k) + static_cast<double>(extra_fixed);

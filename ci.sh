@@ -82,9 +82,10 @@ tsan() {
   # topology/ because the 3D simulator it drives is the newest surface the
   # sanitizers should sweep. kv_cache/ runs its differential decode harness
   # at 1 and 4 pool threads (bit-identity across thread counts is exactly a
-  # TSan question), and serving/ joins as the newest engine-driven surface,
-  # with serving_resilience/ riding along: the fleet scheduler's seeded
-  # determinism contract (same report at any thread count) is a TSan claim.
+  # TSan question), and serving/ joins with serving_resilience/: the fleet
+  # scheduler (simulate_serving is its one-replica case) has a seeded
+  # determinism contract (same report at any thread count) that is a TSan
+  # claim, checked against the reference loop in tests/serving_oracle.cpp.
   # The lossless wire suites join through compress/ (codec unit tests) and
   # the property/Lossless|Stacked slices: the stacked compressor drives the
   # Top-K/quantize inner codecs' parallel_for gathers under TSan. The codec

@@ -128,6 +128,21 @@ int quant_bits(Setting s) {
   }
 }
 
+int64_t kept_elements(Setting s, int64_t numel) {
+  const double f = sparse_fraction(s);
+  const auto k = static_cast<int64_t>(std::llround(f * static_cast<double>(numel)));
+  return std::max<int64_t>(1, k);
+}
+
+int64_t wire_bytes(Setting s, int64_t numel, int64_t hidden) {
+  if (is_ae(s)) return numel / hidden * ae_code_size(s, hidden) * 2;
+  if (is_topk(s) || is_randk(s)) {
+    return kept_elements(s, numel) * kSparseBytesPerElement;
+  }
+  if (is_quant(s)) return (numel * quant_bits(s) + 7) / 8 + numel / hidden * 4;
+  return numel * 2;  // w/o: fp16
+}
+
 CompressorPtr make_compressor(Setting setting, int64_t hidden,
                               tensor::Generator& gen) {
   switch (setting) {

@@ -81,6 +81,17 @@ int64_t ae_code_size(Setting s, int64_t hidden);
 /// Quantization bit width; throws for non-quant settings.
 int quant_bits(Setting s);
 
+/// Elements a Top-K/Random-K setting keeps of a `numel`-element message:
+/// round(f · numel), at least one. Throws for non-sparse settings.
+int64_t kept_elements(Setting s, int64_t numel);
+
+/// Body bytes of one `numel`-element activation message with feature size
+/// `hidden` under `s`: the closed form of
+/// make_compressor(s, hidden)->wire_size(shape).total_bytes(), which the
+/// model-parallel simulator prices without building a compressor. The
+/// AE and quantization terms count rows as numel / hidden.
+int64_t wire_bytes(Setting s, int64_t numel, int64_t hidden);
+
 /// Instantiate the compressor for `setting` on activations of feature size
 /// `hidden`. `gen` seeds AE weights and Random-K sampling.
 CompressorPtr make_compressor(Setting setting, int64_t hidden,

@@ -16,42 +16,13 @@ namespace sm = actcomp::sim;
 
 namespace {
 
-/// Wire bytes for one compressed activation message of `numel` elements.
-int64_t wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
-  switch (s) {
-    case cp::Setting::kBaseline:
-      return numel * 2;
-    case cp::Setting::kA1:
-    case cp::Setting::kA2:
-      return numel / hidden * cp::ae_code_size(s, hidden) * 2;
-    case cp::Setting::kT1:
-    case cp::Setting::kT2:
-    case cp::Setting::kT3:
-    case cp::Setting::kT4:
-    case cp::Setting::kR1:
-    case cp::Setting::kR2:
-    case cp::Setting::kR3:
-    case cp::Setting::kR4:
-      return sm::OverheadModel::kept_elements(s, numel) *
-             cp::kSparseBytesPerElement;
-    case cp::Setting::kQ1:
-    case cp::Setting::kQ2:
-    case cp::Setting::kQ3: {
-      const int bits = cp::quant_bits(s);
-      const int64_t rows = numel / hidden;
-      return (numel * bits + 7) / 8 + rows * 4;
-    }
-  }
-  ACTCOMP_ASSERT(false, "unreachable setting");
-}
-
 /// Bytes of the backward (gradient) message crossing a compressed pipeline
 /// boundary. Sparse and AE gradients shrink with the forward message; the
 /// quantized path does NOT (paper §3.3: the backward engine only supports
 /// float gradients, so the gradient stays activation-sized).
 int64_t backward_wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
   if (s == cp::Setting::kBaseline || cp::is_quant(s)) return numel * 2;
-  return wire_bytes(s, numel, hidden);
+  return cp::wire_bytes(s, numel, hidden);
 }
 
 }  // namespace
@@ -249,7 +220,7 @@ IterationBreakdown ModelParallelSimulator::run(
           } else if (cp::is_ae(setting)) {
             fwd += overhead_.dispatch_ms;  // outside the enc/dec timers
             enc += overhead_.encode_ms(setting, msg_numel, h);
-            const int64_t w = wire_bytes(setting, msg_numel, h);
+            const int64_t w = cp::wire_bytes(setting, msg_numel, h);
             if (!lw.enabled) {
               comm += sm::allreduce_ms(w, tp, tpl);
             } else {
@@ -262,7 +233,7 @@ IterationBreakdown ModelParallelSimulator::run(
             // all-gather, then every rank decodes all tp messages.
             fwd += overhead_.dispatch_ms;
             enc += overhead_.encode_ms(setting, msg_numel, h);
-            const int64_t w = wire_bytes(setting, msg_numel, h);
+            const int64_t w = cp::wire_bytes(setting, msg_numel, h);
             if (!lw.enabled) {
               comm += sm::allgather_ms(w, tp, tpl);
             } else {
@@ -330,7 +301,7 @@ IterationBreakdown ModelParallelSimulator::run(
           static_cast<int64_t>(bd + 1) * layers_per_stage;
       const bool comp = plan.compresses(consumer_layer);
       const int64_t fwd_bytes =
-          comp ? wire_bytes(setting, msg_numel, h) : msg_numel * 2;
+          comp ? cp::wire_bytes(setting, msg_numel, h) : msg_numel * 2;
       const int64_t bwd_bytes =
           comp ? backward_wire_bytes(setting, msg_numel, h) : msg_numel * 2;
       if (!lw.enabled) {
@@ -379,7 +350,7 @@ IterationBreakdown ModelParallelSimulator::run(
       const bool comp = plan.compresses(consumer_layer);
       if (!comp) return msg_numel * 2;
       return backward ? backward_wire_bytes(setting, msg_numel, h)
-                      : wire_bytes(setting, msg_numel, h);
+                      : cp::wire_bytes(setting, msg_numel, h);
     };
     for (int bd = 0; bd + 1 < pp; ++bd) {
       double fwd_sum = 0.0, bwd_sum = 0.0;
@@ -453,7 +424,7 @@ IterationBreakdown ModelParallelSimulator::run(
     int64_t grad_wire = grad_elems * 2;
     double g_enc = 0.0, g_dec = 0.0;
     if (gset != cp::Setting::kBaseline) {
-      grad_wire = wire_bytes(gset, grad_elems, h);
+      grad_wire = cp::wire_bytes(gset, grad_elems, h);
       g_enc = overhead_.encode_ms(gset, grad_elems, h);
       g_dec = overhead_.decode_ms(gset, grad_elems, h);
     }
@@ -569,7 +540,7 @@ InferenceStepCost ModelParallelSimulator::inference_step_cost(
   int64_t wire = 0;
   if (tp_comp || bd_comp) {
     enc_ms = overhead_.encode_ms(setting, msg_numel, h);
-    wire = wire_bytes(setting, msg_numel, h);
+    wire = cp::wire_bytes(setting, msg_numel, h);
   }
   if (tp_comp) {
     // AE codes ride the all-reduce; multi-tensor wire formats cannot (§3.2):

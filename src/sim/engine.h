@@ -33,9 +33,10 @@
 //     dirtied (an explicit worklist), never a linear scan over all
 //     resources.
 // Both realize identical times (same max/+ arithmetic over the same values).
-// The pre-refactor dispatch loop is preserved verbatim as run_reference()
-// (sim/engine_reference.cpp) so property tests and bench/engine_bench can
-// pin both paths' makespans and measure their speedup.
+// The pre-refactor dispatch loop is preserved verbatim as run_reference(),
+// defined only in the test-support library (tests/engine_reference.cpp) so
+// property tests and bench/engine_bench can pin both paths' makespans and
+// measure their speedup; actcomp_sim itself does not contain it.
 #pragma once
 
 #include <cstddef>
@@ -90,9 +91,10 @@ class Engine {
   std::vector<OpTiming> run() const;
 
   /// The pre-refactor dispatch loop, kept verbatim as a reference
-  /// implementation (sim/engine_reference.cpp). Test/bench use only: the
-  /// randomized-DAG property suite pins run() == run_reference() and
-  /// bench/engine_bench reports run()'s events/sec speedup over it.
+  /// implementation. Defined in tests/engine_reference.cpp: link
+  /// actcomp_test_support to call it. The randomized-DAG property suite pins
+  /// run() == run_reference() and bench/engine_bench reports run()'s
+  /// events/sec speedup over it.
   std::vector<OpTiming> run_reference() const;
 
  private:

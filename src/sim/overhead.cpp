@@ -32,12 +32,6 @@ double ns_to_ms(double ns) { return ns * 1e-6; }
 
 }  // namespace
 
-int64_t OverheadModel::kept_elements(cp::Setting setting, int64_t numel) {
-  const double f = cp::sparse_fraction(setting);
-  const auto k = static_cast<int64_t>(std::llround(f * static_cast<double>(numel)));
-  return std::max<int64_t>(1, k);
-}
-
 double OverheadModel::encode_ms(cp::Setting setting, int64_t numel,
                                 int64_t hidden) const {
   ACTCOMP_CHECK(numel >= 0 && hidden > 0, "bad overhead query");
@@ -50,12 +44,12 @@ double OverheadModel::encode_ms(cp::Setting setting, int64_t numel,
     return kLaunchMs + g.compute_ms(flops);
   }
   if (cp::is_topk(setting)) {
-    const int64_t k = kept_elements(setting, numel);
+    const int64_t k = cp::kept_elements(setting, numel);
     return kLaunchMs + ns_to_ms(kTopkScanNsPerElem * static_cast<double>(numel) +
                                 kTopkSelectNsPerKept * static_cast<double>(k));
   }
   if (cp::is_randk(setting)) {
-    const int64_t k = kept_elements(setting, numel);
+    const int64_t k = cp::kept_elements(setting, numel);
     if (device_side_randomk) {
       return kLaunchMs +
              ns_to_ms(kRandkDeviceNsPerElem * static_cast<double>(numel) +
@@ -84,7 +78,7 @@ double OverheadModel::decode_ms(cp::Setting setting, int64_t numel,
     return kLaunchMs + g.compute_ms(flops);
   }
   if (cp::is_topk(setting) || cp::is_randk(setting)) {
-    const int64_t k = kept_elements(setting, numel) * copies;
+    const int64_t k = cp::kept_elements(setting, numel) * copies;
     return kLaunchMs +
            ns_to_ms(kSparseFillNsPerElem * static_cast<double>(numel) +
                     kSparseScatterNsPerKept * static_cast<double>(k));

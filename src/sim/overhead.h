@@ -57,9 +57,6 @@ struct OverheadModel {
   /// gradients; ~0 for straight-through algorithms).
   double backward_extra_ms(compress::Setting setting, int64_t numel,
                            int64_t hidden) const;
-
-  /// Kept elements for sparsification settings at this tensor size.
-  static int64_t kept_elements(compress::Setting setting, int64_t numel);
 };
 
 }  // namespace actcomp::sim

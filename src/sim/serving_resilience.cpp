@@ -20,15 +20,6 @@ const char* route_policy_label(RoutePolicy p) {
   return "?";
 }
 
-const char* request_outcome_label(RequestOutcome o) {
-  switch (o) {
-    case RequestOutcome::kCompleted: return "completed";
-    case RequestOutcome::kShed: return "shed";
-    case RequestOutcome::kFailed: return "failed";
-  }
-  return "?";
-}
-
 SloDegradationController::SloDegradationController(
     const ServingDegradeSpec& spec, double slo_p99_ms, int num_levels)
     : spec_(spec), slo_ms_(slo_p99_ms), num_levels_(num_levels) {
@@ -177,14 +168,15 @@ struct RequestState {
   std::vector<int64_t> copy_ids;
 };
 
-// The discrete-event scheduler's event kinds. The kind value doubles as the
-// tie-break priority at equal timestamps (arrivals land before the dispatch
-// pass so same-instant arrivals join one admission wave, exactly like
-// simulate_serving; a step that ends exactly when its replica crashes still
-// counts). seq — a monotone insertion counter — is the final tie-break, so
-// the heap order is a total order and the whole simulation is deterministic.
+// The discrete-event scheduler's queued event kinds. The kind value doubles
+// as the tie-break priority at equal timestamps (a step that ends exactly
+// when its replica crashes still counts). seq — a monotone insertion counter
+// — is the final tie-break, so the heap order is a total order and the whole
+// simulation is deterministic. Arrivals are not queued: the run loop reads
+// them from the sorted trace with a cursor and handles every arrival at t
+// before any queued event at t, so same-instant arrivals join one admission
+// wave and a retry or step end at t sees them already routed.
 enum EventKind {
-  kEvArrival = 0,
   kEvRetry = 1,
   kEvRecover = 2,
   kEvStepEnd = 3,
@@ -265,23 +257,28 @@ class ResilientScheduler {
       return out;
     }
 
-    for (size_t i = 0; i < requests_.size(); ++i) {
-      push({requests_[i].arrival_ms, kEvArrival, 0,
-            static_cast<int64_t>(i), 0});
-    }
     for (int r = 0; r < cfg_.num_replicas; ++r) {
       schedule_crash(r, 0.0);
     }
 
+    // The trace is validated sorted, so arrivals need no queue of their own.
+    size_t next_arrival = 0;
     while (resolved_ < requests_.size()) {
-      ACTCOMP_ASSERT(!heap_.empty(),
+      ACTCOMP_ASSERT(next_arrival < requests_.size() || !heap_.empty(),
                      "resilient serving scheduler stalled with "
                          << requests_.size() - resolved_
                          << " requests unresolved");
-      const double t = heap_.top().t;
-      // Drain EVERY event at this instant before dispatching: same-time
-      // arrivals form one admission wave, and a handler that schedules a
-      // zero-delay follow-up at t gets it handled in the same drain.
+      double t = std::numeric_limits<double>::infinity();
+      if (next_arrival < requests_.size()) t = requests_[next_arrival].arrival_ms;
+      if (!heap_.empty()) t = std::min(t, heap_.top().t);
+      // Handle EVERY event at this instant before dispatching: arrivals
+      // first, so same-time arrivals form one admission wave; then the
+      // queue, where a handler that schedules a zero-delay follow-up at t
+      // gets it handled in the same drain.
+      while (next_arrival < requests_.size() &&
+             requests_[next_arrival].arrival_ms == t) {
+        on_arrival(next_arrival++, t);
+      }
       while (!heap_.empty() && heap_.top().t == t) {
         const Event ev = heap_.top();
         heap_.pop();
@@ -610,9 +607,11 @@ class ResilientScheduler {
       }
       rep.step_admitted.clear();
     } else {
-      std::vector<int64_t> still;
-      still.reserve(rep.running.size());
-      for (const int64_t cid : rep.running) {
+      // Compacts the decode batch in place; complete_copy never touches a
+      // running list, so the survivors keep their order.
+      size_t keep = 0;
+      for (size_t k = 0; k < rep.running.size(); ++k) {
+        const int64_t cid = rep.running[k];
         Copy& c = copies_[static_cast<size_t>(cid)];
         if (c.state != CopyState::kRunning) {
           free_loser(c, rep);
@@ -623,10 +622,10 @@ class ResilientScheduler {
         if (c.generated == requests_[c.req].max_new_tokens) {
           complete_copy(cid, r, rep.step_end);
         } else {
-          still.push_back(cid);
+          rep.running[keep++] = cid;
         }
       }
-      rep.running = std::move(still);
+      rep.running.resize(keep);
     }
   }
 
@@ -686,7 +685,6 @@ class ResilientScheduler {
 
   void handle(const Event& ev) {
     switch (ev.kind) {
-      case kEvArrival: on_arrival(static_cast<size_t>(ev.a), ev.t); break;
       case kEvRetry: on_retry(static_cast<size_t>(ev.a), ev.t); break;
       case kEvRecover: on_recover(static_cast<int>(ev.a), ev.t); break;
       case kEvStepEnd: on_step_end(static_cast<int>(ev.a), ev.b); break;
@@ -702,8 +700,8 @@ class ResilientScheduler {
     if (!rep.up || rep.busy) return;
     sweep_running(rep);
     // Admission wave: FIFO under max_batch and the token budget, stopping at
-    // the first head that does not fit — exactly simulate_serving's rule, so
-    // the clean path realizes the identical schedule.
+    // the first head that does not fit: a later, smaller request never
+    // overtakes the queue head.
     std::vector<int64_t> admitted;
     int64_t prompts = 0, context = 0;
     while (!rep.queue.empty()) {
@@ -760,15 +758,18 @@ class ResilientScheduler {
 
   void finalize(ResilientServingReport& out) {
     // Steps from all replicas merge into one timeline ordered by start time;
-    // stable sort keeps the deterministic scheduling order among ties. In
-    // the clean path this is already simulate_serving's program order, so
-    // finalize_serving_report sums busy_ms in the identical FP order.
-    std::stable_sort(steps_.begin(), steps_.end(),
-                     [](const StepTiming& x, const StepTiming& y) {
-                       return x.start_ms < y.start_ms;
-                     });
+    // stable sort keeps the deterministic scheduling order among ties. One
+    // replica's steps end in start order already (its program order), so
+    // the sort is skipped there, and finalize_serving_report sums busy_ms in
+    // program order.
+    auto by_start = [](const StepTiming& x, const StepTiming& y) {
+      return x.start_ms < y.start_ms;
+    };
+    if (!std::is_sorted(steps_.begin(), steps_.end(), by_start)) {
+      std::stable_sort(steps_.begin(), steps_.end(), by_start);
+    }
     out.serving.steps = std::move(steps_);
-    finalize_serving_report(out.serving, &completed_);
+    finalize_serving_report(out.serving, completed_);
     out.outcomes.resize(requests_.size());
     for (size_t i = 0; i < requests_.size(); ++i) {
       out.outcomes[i] = state_[i].outcome;

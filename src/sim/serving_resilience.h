@@ -1,7 +1,8 @@
 // Fault-tolerant multi-replica serving on top of sim/serving + sim/faults.
 //
-// simulate_serving (sim/serving.h) models ONE fault-free replica. This layer
-// models the fleet around it — the part of a production serving stack that
+// This is the library's one serving scheduler. simulate_serving
+// (sim/serving.h) is its one-replica, fault-free case; this layer models the
+// fleet around that replica — the part of a production serving stack that
 // decides where a request runs and what happens when that goes wrong:
 //
 //   * replica pool — N copies of the same model, each priced by the shared
@@ -33,10 +34,13 @@
 // only randomness is the per-replica ReplicaFaultProcess streams (seeded,
 // raw-draw uniforms), so same trace + config => byte-identical report, on any
 // machine, at any thread-pool width. With one replica and every knob off, the
-// event loop degenerates to exactly simulate_serving's admission/decode
-// schedule and the embedded ServingReport is field-for-field identical —
-// tests/serving_resilience_test.cpp pins both claims, and transitively the
-// PR 7 serving goldens.
+// event loop is exactly the continuous-batching admission/decode schedule
+// that simulate_serving reports. Arrivals are read from the sorted trace with
+// a cursor rather than queued as events; at equal timestamps they still run
+// before every queued event, so same-instant arrivals join one admission
+// wave. tests/serving_resilience_test.cpp pins the clean path field for field
+// against the stand-alone reference loop in tests/serving_oracle.cpp, and
+// seeded determinism under faults.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +67,6 @@ struct RetryPolicy {
   double backoff_ms = 0.0;    ///< delay before retry a is backoff * 2^(a-1)
   double timeout_ms = 0.0;    ///< abandon a copy outstanding this long; 0 = never
   double hedge_after_ms = 0.0; ///< duplicate to another replica; 0 = never
-
-  bool enabled() const {
-    return max_attempts > 1 || timeout_ms > 0.0 || hedge_after_ms > 0.0;
-  }
 };
 
 /// Load shedding at arrival time. Retried/hedged copies are exempt — once
@@ -77,10 +77,6 @@ struct AdmissionPolicy {
   /// Shed when the routed replica's predicted wait (remaining step + queue
   /// length x EWMA step time + remaining downtime) exceeds this. 0 = off.
   double shed_wait_over_ms = 0.0;
-
-  bool enabled() const {
-    return max_queued_tokens > 0 || shed_wait_over_ms > 0.0;
-  }
 };
 
 /// Hysteresis spec for the SLO degradation controller (the serving twin of
@@ -159,7 +155,6 @@ enum class RequestOutcome {
   kShed,      ///< rejected at admission, never dispatched
   kFailed,    ///< every attempt died (crash/timeout), retries exhausted
 };
-const char* request_outcome_label(RequestOutcome o);
 
 struct ReplicaStats {
   int64_t completed = 0;  ///< requests whose winning copy ran here

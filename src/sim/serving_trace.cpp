@@ -1,5 +1,6 @@
 #include "sim/serving_trace.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -66,8 +67,22 @@ std::vector<ServingRequest> serving_trace_from_json(
     };
     ServingRequest r;
     r.arrival_ms = number("arrival_ms")->as_double();
-    r.prompt_tokens = number("prompt_tokens")->as_int();
-    r.max_new_tokens = number("max_new_tokens")->as_int();
+    // JSON has no inf/nan: an overflowing literal such as 1e999 parses to
+    // inf, which save would write back as null.
+    if (!std::isfinite(r.arrival_ms)) {
+      fail(at.str() + ": arrival_ms is not finite");
+    }
+    // Token counts must be integer literals: a double node such as 24. or
+    // 2.4e1 has no integer value to read, and as_int() would return 0.
+    auto integer = [&](const char* key) {
+      const obs::json::Value* v = number(key);
+      if (v->kind() != obs::json::Kind::kInt) {
+        fail(at.str() + ": '" + key + "' is not an integer");
+      }
+      return v->as_int();
+    };
+    r.prompt_tokens = integer("prompt_tokens");
+    r.max_new_tokens = integer("max_new_tokens");
     out.push_back(r);
   }
   return out;

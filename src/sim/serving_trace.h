@@ -28,8 +28,9 @@ obs::json::Value serving_trace_to_json(
     const std::vector<ServingRequest>& requests);
 
 /// Inverse of serving_trace_to_json. Throws std::invalid_argument with a
-/// precise message on a wrong schema tag, missing/mistyped fields, or a
-/// non-object request entry. Does NOT re-validate scheduling feasibility —
+/// precise message on a wrong schema tag, missing/mistyped fields (token
+/// counts must be integer literals), a non-finite arrival, or a non-object
+/// request entry. Does NOT re-validate scheduling feasibility —
 /// pass the result through validate_serving_inputs with the target config.
 std::vector<ServingRequest> serving_trace_from_json(
     const obs::json::Value& doc);

@@ -1,9 +1,10 @@
 // The pre-refactor Engine::run() dispatch loop, preserved verbatim as a
-// reference implementation. Test/bench use only:
+// reference implementation. It lives in the test-support library
+// (actcomp_test_support, tests/CMakeLists.txt), not in actcomp_sim:
 //   * tests/engine_test.cpp pins run() == run_reference() on randomized DAGs
 //     (the refactor's byte-identity contract);
 //   * bench/engine_bench measures run()'s events/sec against this loop (the
-//     ISSUE 6 >= 10x acceptance bound).
+//     >= 10x speedup bound).
 // Differences from the original are mechanical: per-op dependency vectors
 // are reconstructed from the flat dep_edges_ list (the op nodes no longer
 // carry them), preserving the original vector-of-vectors allocation pattern

@@ -1,6 +1,7 @@
 // Seeded mutation fuzzing of the wire decoders (WIRE_FORMATS.md §3.3, §4,
 // §5): LosslessCodec::decode, StackedCompressor::decode over T3/Q2/R3, and
-// the Top-K and Random-K decoders.
+// the Top-K and Random-K decoders — plus the serving-trace loader
+// (obs::json::Value::parse + sim::serving_trace_from_json).
 //
 // Each target starts from a corpus of valid messages and decodes a fixed
 // number of deterministic mutants: bit flips, truncations, inflated u64
@@ -10,7 +11,9 @@
 //     and TSan slices of ci.sh);
 //   * any exception is std::invalid_argument;
 //   * no single allocation larger than a bound derived from the input size
-//     (tracked by the operator new replacement below).
+//     (tracked by the operator new replacement below);
+//   * for the trace loader, an accepted document yields exactly the numbers
+//     it holds, and that trace survives its own save/load round trip.
 // Every decoder bug the harness found is pinned by a named regression test
 // at the end of this file.
 #include <gtest/gtest.h>
@@ -31,10 +34,15 @@
 #include "compress/topk.h"
 #include "compress/wire.h"
 #include "core/threadpool.h"
+#include "obs/json.h"
+#include "sim/serving.h"
+#include "sim/serving_trace.h"
 #include "tensor/random.h"
 
 namespace core = actcomp::core;
 namespace cp = actcomp::compress;
+namespace json = actcomp::obs::json;
+namespace sim = actcomp::sim;
 namespace ts = actcomp::tensor;
 
 // ---------------------------------------------------------------------------
@@ -290,6 +298,123 @@ TEST(Fuzz, SparseDecodersAtOneAndFourThreads) {
   core::set_num_threads(saved);
 }
 
+/// Parses `text` and loads it as a serving trace, the way load_serving_trace
+/// does after reading a file; a parse error throws std::invalid_argument.
+std::vector<sim::ServingRequest> trace_from_text(const std::string& text,
+                                                 json::Value* doc_out = nullptr) {
+  std::string err;
+  json::Value doc = json::Value::parse(text, &err);
+  if (!err.empty()) throw std::invalid_argument("parse: " + err);
+  std::vector<sim::ServingRequest> trace = sim::serving_trace_from_json(doc);
+  if (doc_out != nullptr) *doc_out = std::move(doc);
+  return trace;
+}
+
+bool same_trace(const std::vector<sim::ServingRequest>& a,
+                const std::vector<sim::ServingRequest>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i].arrival_ms) !=
+            std::bit_cast<uint64_t>(b[i].arrival_ms) ||
+        a[i].prompt_tokens != b[i].prompt_tokens ||
+        a[i].max_new_tokens != b[i].max_new_tokens) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True when `v` holds exactly `want`: an integer node equal to it, or a
+/// double node with the same value.
+bool holds(const json::Value& v, int64_t want) {
+  return v.kind() == json::Kind::kInt
+             ? v.as_int() == want
+             : v.as_double() == static_cast<double>(want);
+}
+
+/// Loads a mutant under the trace contract: a rejection is an
+/// std::invalid_argument; an accepted document must yield the numbers it
+/// holds, and the trace must reproduce itself through save/load.
+void load_trace_mutant(const Bytes& m) {
+  const std::string text(reinterpret_cast<const char*>(m.data()), m.size());
+  json::Value doc;
+  const std::vector<sim::ServingRequest> trace = trace_from_text(text, &doc);
+  const json::Value& reqs = *doc.find("requests");
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const json::Value& item = reqs.at(i);
+    const bool exact =
+        std::bit_cast<uint64_t>(item.find("arrival_ms")->as_double()) ==
+            std::bit_cast<uint64_t>(trace[i].arrival_ms) &&
+        holds(*item.find("prompt_tokens"), trace[i].prompt_tokens) &&
+        holds(*item.find("max_new_tokens"), trace[i].max_new_tokens);
+    if (!exact) {
+      ADD_FAILURE() << "requests[" << i << "] loaded as {"
+                    << trace[i].arrival_ms << ", " << trace[i].prompt_tokens
+                    << ", " << trace[i].max_new_tokens << "} from "
+                    << item.dump();
+      return;
+    }
+  }
+  std::vector<sim::ServingRequest> again;
+  try {
+    again = trace_from_text(sim::serving_trace_to_json(trace).dump(2));
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "an accepted trace does not reload: " << e.what();
+    return;
+  }
+  EXPECT_TRUE(same_trace(again, trace)) << "an accepted trace does not reload exactly";
+}
+
+Bytes bytes_of(const std::string& s) {
+  Bytes b(s.size());
+  std::memcpy(b.data(), s.data(), s.size());
+  return b;
+}
+
+TEST(Fuzz, ServingTraceJson) {
+  sim::PoissonTraceSpec spec;
+  spec.rate_per_s = 40.0;
+  spec.num_requests = 12;
+  spec.prompt_tokens = 96;
+  spec.max_new_tokens = 24;
+  const std::vector<std::vector<sim::ServingRequest>> traces = {
+      sim::poisson_trace(spec),
+      {{0.1 + 0.2, 128, 32}, {123.45678901234567, 1, 0}, {1e-9 + 123.5, 4096, 1024}},
+      {}};
+  std::vector<Bytes> corpus;
+  for (const auto& trace : traces) {
+    for (const int indent : {2, -1}) {
+      const std::string text = sim::serving_trace_to_json(trace).dump(indent);
+      EXPECT_TRUE(same_trace(trace_from_text(text), trace)) << text;
+      corpus.push_back(bytes_of(text));
+    }
+  }
+  // The binary mutator almost never leaves a parseable document, so half
+  // the mutants are instead a corpus entry with one or two bytes replaced
+  // by characters JSON numbers and the document's structure are made of.
+  static constexpr char kJsonBytes[] = "0123456789.eE+-\",:[]{} ";
+  Mutator mut(400);
+  std::mt19937_64 rng(401);
+  int rejected = 0;
+  for (int it = 0; it < kIterations && !HasFailure(); ++it) {
+    Bytes m;
+    if ((rng() & 1) != 0) {
+      m = mut.mutate(corpus);
+    } else {
+      m = corpus[rng() % corpus.size()];
+      for (uint64_t edits = 1 + rng() % 2; edits > 0 && !m.empty(); --edits) {
+        m[rng() % m.size()] =
+            static_cast<std::byte>(kJsonBytes[rng() % (sizeof(kJsonBytes) - 1)]);
+      }
+    }
+    rejected += run_one([&] { load_trace_mutant(m); }, m.size(), 0,
+                        "iteration " + std::to_string(it))
+                    ? 1
+                    : 0;
+  }
+  EXPECT_GT(rejected, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Regressions: one test per decoder bug the harness found.
 // ---------------------------------------------------------------------------
@@ -366,6 +491,31 @@ TEST(FuzzRegression, StackedNegativeSegmentSizeIsRejected) {
   Bytes m = c.body;
   put<uint64_t>(m, 4, ~uint64_t{0});
   expect_rejected(m, c.x.numel(), [&](const Bytes& b) { c.decode(b); });
+}
+
+/// A one-request trace document with the given arrival and prompt literals.
+std::string trace_doc(const std::string& arrival, const std::string& prompt) {
+  return std::string("{\"schema\":\"") + sim::kServingTraceSchema +
+         "\",\"requests\":[{\"arrival_ms\":" + arrival +
+         ",\"prompt_tokens\":" + prompt + ",\"max_new_tokens\":24}]}";
+}
+
+TEST(FuzzRegression, TraceArrivalOverflowingToInfinityIsRejected) {
+  // 1e999 parses to inf. The loader accepted it, and save wrote it back as
+  // null, so the trace no longer reloaded.
+  ASSERT_EQ(trace_from_text(trace_doc("1.5", "96")).at(0).arrival_ms, 1.5);
+  const Bytes m = bytes_of(trace_doc("1e999", "96"));
+  expect_rejected(m, 0, [](const Bytes& b) { load_trace_mutant(b); });
+}
+
+TEST(FuzzRegression, TraceTokenCountWrittenAsADoubleIsRejected) {
+  // 24. parses to a double node, whose as_int() is 0: the request silently
+  // loaded with no prompt instead of 24 tokens.
+  ASSERT_EQ(trace_from_text(trace_doc("1.5", "24")).at(0).prompt_tokens, 24);
+  for (const char* literal : {"24.", "2.4e1", "24.5"}) {
+    const Bytes m = bytes_of(trace_doc("1.5", literal));
+    expect_rejected(m, 0, [](const Bytes& b) { load_trace_mutant(b); });
+  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ int64_t wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
     case cp::Setting::kR2:
     case cp::Setting::kR3:
     case cp::Setting::kR4:
-      return sm::OverheadModel::kept_elements(s, numel) *
+      return cp::kept_elements(s, numel) *
              cp::kSparseBytesPerElement;
     case cp::Setting::kQ1:
     case cp::Setting::kQ2:
@@ -136,13 +136,13 @@ parallel::InferenceStepCost step_cost(const Rig& r,
           out.dispatch_ms += ov.dispatch_ms;
           out.enc_ms += ov.encode_ms(setting, msg_numel, h);
           out.tp_comm_ms +=
-              sm::allreduce_ms(wire_bytes(setting, msg_numel, h), tp, tpl);
+              sm::allreduce_ms(reference::wire_bytes(setting, msg_numel, h), tp, tpl);
           out.dec_ms += ov.decode_ms(setting, msg_numel, h);
         } else {
           out.dispatch_ms += ov.dispatch_ms;
           out.enc_ms += ov.encode_ms(setting, msg_numel, h);
           out.tp_comm_ms +=
-              sm::allgather_ms(wire_bytes(setting, msg_numel, h), tp, tpl);
+              sm::allgather_ms(reference::wire_bytes(setting, msg_numel, h), tp, tpl);
           out.dec_ms += ov.decode_ms(setting, msg_numel, h, tp);
         }
       }
@@ -153,7 +153,7 @@ parallel::InferenceStepCost step_cost(const Rig& r,
         static_cast<int64_t>(bd + 1) * layers_per_stage;
     const bool comp = plan.compresses(consumer_layer);
     const int64_t bytes =
-        comp ? wire_bytes(setting, msg_numel, h) : msg_numel * 2;
+        comp ? reference::wire_bytes(setting, msg_numel, h) : msg_numel * 2;
     const double par = boundary_parallelism(r, bd);
     out.p2p_ms +=
         sm::p2p_ms(static_cast<int64_t>(static_cast<double>(bytes) / par),

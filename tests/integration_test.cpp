@@ -41,22 +41,29 @@ nn::BertConfig micro_config() {
 }
 }  // namespace
 
-// The simulator's closed-form wire sizes must match the byte counts the
-// real encoders produce, for every setting, at the paper's tensor shape.
-// This is the contract that makes simulated throughput and real accuracy
-// experiments describe the same system.
+// The simulator's closed-form wire size (compress::wire_bytes, which every
+// model-parallel pricing path calls) must match the byte counts the real
+// encoders produce, for every setting, at a small and at the paper's hidden
+// size. This is the contract that makes simulated throughput and real
+// accuracy experiments describe the same system.
 class WireAgreement : public ::testing::TestWithParam<cp::Setting> {};
 
 TEST_P(WireAgreement, SimulatorMatchesRealEncoder) {
   const cp::Setting s = GetParam();
-  const int64_t h = 64;
-  const ts::Shape shape{4, 8, h};  // b x s x h
-  ts::Generator gen(3);
-  auto compressor = cp::make_compressor(s, h, gen);
-  const ts::Tensor x = gen.normal(shape, 0.0f, 2.0f);
-  const int64_t real_bytes = compressor->encode(x).body_bytes();
-  EXPECT_EQ(compressor->wire_size(shape).total_bytes(), real_bytes)
-      << cp::setting_label(s);
+  for (const int64_t h : {int64_t{64}, cp::kRefHidden}) {
+    ts::Generator gen(3);
+    auto compressor = cp::make_compressor(s, h, gen);
+    for (const int64_t b : {1, 4, 8}) {
+      const ts::Shape shape{b, 8, h};  // b x s x h
+      const ts::Tensor x = gen.normal(shape, 0.0f, 2.0f);
+      const int64_t real_bytes = compressor->encode(x).body_bytes();
+      const int64_t simulated = cp::wire_bytes(s, shape.numel(), h);
+      EXPECT_EQ(compressor->wire_size(shape).total_bytes(), real_bytes)
+          << cp::setting_label(s) << " h=" << h << " b=" << b;
+      EXPECT_EQ(simulated, real_bytes)
+          << cp::setting_label(s) << " h=" << h << " b=" << b;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSettings, WireAgreement,
@@ -149,7 +156,7 @@ TEST(Integration, TrainingPlaneAndSimPlaneShareTheSameSparsity) {
   for (cp::Setting s : {cp::Setting::kT1, cp::Setting::kT2, cp::Setting::kT3,
                         cp::Setting::kT4}) {
     cp::TopKCompressor real(cp::sparse_fraction(s));
-    EXPECT_EQ(sm::OverheadModel::kept_elements(s, numel), real.k_for(numel))
+    EXPECT_EQ(cp::kept_elements(s, numel), real.k_for(numel))
         << cp::setting_label(s);
   }
 }

@@ -3,9 +3,10 @@
 // (sim/serving_trace.h):
 //
 //   - clean path: one replica, no faults/retries/shedding/degradation =>
-//     field-for-field identical to simulate_serving (toy cost AND the
-//     calibrated make_serving_cost_ladder rung 0), which transitively pins
-//     the PR 7 serving goldens
+//     field-for-field identical to the stand-alone reference loop in
+//     serving_oracle.cpp (toy cost AND the calibrated
+//     make_serving_cost_ladder rung 0) — an independent implementation of
+//     the schedule simulate_serving reports
 //   - seeded determinism under faults: same trace + config => identical
 //     reports; a different fault seed moves the schedule
 //   - work conservation: completed + shed + failed == offered, no request
@@ -33,6 +34,7 @@
 #include "sim/serving.h"
 #include "sim/serving_resilience.h"
 #include "sim/serving_trace.h"
+#include "serving_oracle.h"
 
 namespace {
 
@@ -176,7 +178,7 @@ TEST(CleanPath, MatchesSimulateServingWithToyCost) {
   base.max_batch = 8;
   base.token_budget = 4096;
   base.step_cost = toy_cost;
-  const auto want = sim::simulate_serving(trace, base);
+  const auto want = oracle::reference_simulate_serving(trace, base);
 
   const auto got = sim::simulate_serving_resilient(trace, fleet(1));
   expect_serving_reports_equal(got.serving, want);
@@ -194,7 +196,8 @@ TEST(CleanPath, MatchesSimulateServingWithToyCost) {
 
 TEST(CleanPath, MatchesSimulateServingWithCalibratedLadder) {
   // The calibrated cost ladder's rung 0 prices exactly what ablation_serving
-  // feeds simulate_serving — the fleet path must realize the same schedule.
+  // feeds simulate_serving — the fleet path must realize the schedule of the
+  // reference loop.
   const nn::BertConfig model = nn::BertConfig::bert_large();
   parallel::ModelParallelSimulator mp(sim::ClusterSpec::aws_p3(2), model,
                                       {8, 1}, parallel::TrainJob{});
@@ -213,7 +216,7 @@ TEST(CleanPath, MatchesSimulateServingWithCalibratedLadder) {
   base.max_batch = 8;
   base.token_budget = 2048;
   base.step_cost = ladder[0];
-  const auto want = sim::simulate_serving(trace, base);
+  const auto want = oracle::reference_simulate_serving(trace, base);
 
   sim::ResilientServingConfig cfg;
   cfg.num_replicas = 1;
@@ -301,7 +304,7 @@ TEST(Hedging, RescuesARequestOnABrownedOutReplica) {
   base.max_batch = 8;
   base.token_budget = 4096;
   base.step_cost = toy_cost;
-  const auto clean = sim::simulate_serving(trace, base);
+  const auto clean = oracle::reference_simulate_serving(trace, base);
   EXPECT_NEAR(with.serving.requests[0].e2e_ms(),
               5.0 + clean.requests[0].e2e_ms(), 1e-9);
 }

@@ -13,14 +13,21 @@
 //   - tail monotonicity: a higher arrival rate (same seed) never lowers p99
 //   - graceful degenerate inputs: empty trace, single request, zero-token
 //     generations — plus precise validation errors for impossible inputs
+//   - differential: 200 seeded traces, bit-identical to the stand-alone
+//     reference loop in serving_oracle.cpp
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <random>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/compression_plan.h"
 #include "parallel/mp_simulator.h"
+#include "serving_oracle.h"
 #include "sim/serving.h"
 
 namespace {
@@ -295,6 +302,129 @@ TEST(ServingValidation, PreciseErrors) {
                std::invalid_argument);  // could never be admitted
   EXPECT_THROW(sim::poisson_trace({0.0, 4, 16, 8, 1}),
                std::invalid_argument);  // rate must be positive
+}
+
+// ---- Differential: simulate_serving against the stand-alone reference. ----
+
+/// Bit pattern of a double, so -0.0 vs 0.0 or two NaNs count as they are.
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Empty when the two reports agree in every field, bit for bit; otherwise
+/// the first field that differs.
+std::string first_difference(const sim::ServingReport& a,
+                             const sim::ServingReport& b) {
+  std::ostringstream os;
+  auto num = [&](const char* name, double x, double y) {
+    if (os.tellp() == 0 && bits(x) != bits(y)) {
+      os << name << ": " << x << " vs " << y;
+    }
+  };
+  auto pct = [&](const char* name, const sim::LatencyPercentiles& x,
+                 const sim::LatencyPercentiles& y) {
+    const std::string n(name);
+    num((n + ".p50").c_str(), x.p50_ms, y.p50_ms);
+    num((n + ".p95").c_str(), x.p95_ms, y.p95_ms);
+    num((n + ".p99").c_str(), x.p99_ms, y.p99_ms);
+  };
+  num("completed", static_cast<double>(a.completed),
+      static_cast<double>(b.completed));
+  num("generated_tokens", static_cast<double>(a.generated_tokens),
+      static_cast<double>(b.generated_tokens));
+  num("makespan_ms", a.makespan_ms, b.makespan_ms);
+  num("busy_ms", a.busy_ms, b.busy_ms);
+  num("mean_concurrency", a.mean_concurrency, b.mean_concurrency);
+  pct("ttft", a.ttft, b.ttft);
+  pct("tpot", a.tpot, b.tpot);
+  pct("e2e", a.e2e, b.e2e);
+  num("requests.size", static_cast<double>(a.requests.size()),
+      static_cast<double>(b.requests.size()));
+  num("steps.size", static_cast<double>(a.steps.size()),
+      static_cast<double>(b.steps.size()));
+  if (os.tellp() != 0) return os.str();
+  for (size_t i = 0; i < a.requests.size() && os.tellp() == 0; ++i) {
+    const sim::RequestTiming& x = a.requests[i];
+    const sim::RequestTiming& y = b.requests[i];
+    const std::string at = "requests[" + std::to_string(i) + "].";
+    num((at + "arrival_ms").c_str(), x.arrival_ms, y.arrival_ms);
+    num((at + "admit_ms").c_str(), x.admit_ms, y.admit_ms);
+    num((at + "first_token_ms").c_str(), x.first_token_ms, y.first_token_ms);
+    num((at + "done_ms").c_str(), x.done_ms, y.done_ms);
+    num((at + "prompt_tokens").c_str(), static_cast<double>(x.prompt_tokens),
+        static_cast<double>(y.prompt_tokens));
+    num((at + "generated").c_str(), static_cast<double>(x.generated),
+        static_cast<double>(y.generated));
+  }
+  for (size_t i = 0; i < a.steps.size() && os.tellp() == 0; ++i) {
+    const sim::StepTiming& x = a.steps[i];
+    const sim::StepTiming& y = b.steps[i];
+    const std::string at = "steps[" + std::to_string(i) + "].";
+    num((at + "prefill").c_str(), x.prefill, y.prefill);
+    num((at + "start_ms").c_str(), x.start_ms, y.start_ms);
+    num((at + "end_ms").c_str(), x.end_ms, y.end_ms);
+    num((at + "seqs").c_str(), static_cast<double>(x.seqs),
+        static_cast<double>(y.seqs));
+    num((at + "new_tokens").c_str(), static_cast<double>(x.new_tokens),
+        static_cast<double>(y.new_tokens));
+    num((at + "replica").c_str(), x.replica, y.replica);
+  }
+  return os.str();
+}
+
+TEST(ServingDifferential, RandomTracesMatchTheReferenceLoopBitForBit) {
+  // 200 seeded traces through simulate_serving (the fleet scheduler's
+  // one-replica case) and the stand-alone reference loop. Half the traces
+  // sit on an integer-millisecond grid with integer step costs, so step
+  // ends land exactly on arrivals (the tie the arrival cursor must order
+  // before step ends); the other half use continuous times and costs. Every
+  // trace mixes prompt lengths 1-64 with 0-, 1- and 2..40-token generations
+  // and has runs of equal arrival times; max_batch cycles through 1, 3 and
+  // 8, and the token budget through one, two and ~three requests' worth of
+  // the largest need, plus one budget that never binds.
+  std::mt19937_64 rng(20261018);
+  auto below = [&](uint64_t n) { return static_cast<int64_t>(rng() % n); };
+  auto unit = [&] { return static_cast<double>(rng() >> 11) * 0x1.0p-53; };
+  const int64_t batches[] = {1, 3, 8};
+  int binding = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool grid = trial % 2 == 0;
+    std::vector<sim::ServingRequest> trace;
+    const int64_t n = 1 + below(48);
+    double t = grid ? static_cast<double>(below(5)) : 10.0 * unit();
+    int64_t max_need = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      if (i > 0 && below(10) >= 4) {  // ~40% share the previous arrival time
+        t += grid ? static_cast<double>(1 + below(6)) : 8.0 * unit();
+      }
+      const int64_t kind = below(5);
+      const int64_t gen = kind == 0 ? 0 : kind == 1 ? 1 : 2 + below(39);
+      trace.push_back({t, 1 + below(64), gen});
+      max_need = std::max(max_need, trace.back().prompt_tokens + gen);
+    }
+    sim::ServingConfig cfg;
+    cfg.max_batch = batches[trial % 3];
+    const int64_t budget_kind = (trial / 3) % 4;
+    cfg.token_budget = budget_kind == 3 ? 1 << 20
+                                        : max_need * (budget_kind + 1) +
+                                              below(max_need / 2 + 1);
+    binding += budget_kind < 3 && cfg.max_batch > 1 ? 1 : 0;
+    if (grid) {
+      cfg.step_cost = [](const sim::StepShape& s) {
+        return s.prefill ? static_cast<double>(2 + s.new_tokens / 32)
+                         : static_cast<double>(1 + s.context_tokens / 512);
+      };
+    } else {
+      cfg.step_cost = [](const sim::StepShape& s) {
+        return s.prefill ? 0.7 + 0.031 * static_cast<double>(s.new_tokens)
+                         : 0.3 + 0.0017 * static_cast<double>(s.context_tokens);
+      };
+    }
+    const sim::ServingReport want = oracle::reference_simulate_serving(trace, cfg);
+    const sim::ServingReport got = sim::simulate_serving(trace, cfg);
+    ASSERT_EQ(first_difference(got, want), "")
+        << "trial " << trial << " (" << n << " requests, max_batch "
+        << cfg.max_batch << ", token_budget " << cfg.token_budget << ")";
+  }
+  EXPECT_GT(binding, 200 / 3) << "a budget must bind in many traces";
 }
 
 // ---- The bridge to the calibrated cost model. ----
