@@ -1,6 +1,7 @@
 // Machine-readable kernel benchmark: times the parallel compute core
-// (blocked GEMM, compressor encode/decode, one end-to-end fine-tune step)
-// across thread counts. Output is a canonical RunReport document
+// (GEMM, transposed-operand GEMM, compressor encode/decode, one attention
+// layer and the fine-tune step's backward ops, one end-to-end fine-tune
+// step) across thread counts. Output is a canonical RunReport document
 // (actcomp.run_report.v1, see obs/report.h): each measurement is one entry
 // of the "records" array carrying {op, shape, threads, ns_op, gb_s} plus
 // op-specific extras (gflops, speedup_vs_seed). The checked-in baseline
@@ -31,6 +32,7 @@
 #include "compress/wire.h"
 #include "core/simd.h"
 #include "core/threadpool.h"
+#include "nn/attention.h"
 #include "nn/bert.h"
 #include "obs/report.h"
 #include "tensor/ops.h"
@@ -164,6 +166,117 @@ void bench_matmul_tiers(int64_t m, int64_t k, int64_t n) {
     }
   }
   core::set_simd_isa(restore);
+  core::set_num_threads(1);
+}
+
+// Transposed-operand GEMMs at the Linear-backward shapes: matmul_nt is the
+// input gradient g·Wᵀ (m x k times (n x k)ᵀ) and matmul_tn the weight
+// gradient xᵀ·g ((k x m)ᵀ times k x n), each read in place.
+void bench_matmul_transposed(int64_t m, int64_t k, int64_t n) {
+  ts::Generator gen(99);
+  const double flops = 2.0 * static_cast<double>(m) * k * n;
+  const double bytes = 4.0 * (static_cast<double>(m) * k +
+                              static_cast<double>(k) * n +
+                              static_cast<double>(m) * n);
+  char shape[64];
+  std::snprintf(shape, sizeof(shape), "%lldx%lldx%lld",
+                static_cast<long long>(m), static_cast<long long>(k),
+                static_cast<long long>(n));
+  for (bool nt : {true, false}) {
+    const ts::Tensor a = nt ? gen.normal(ts::Shape{m, k}) : gen.normal(ts::Shape{k, m});
+    const ts::Tensor b = nt ? gen.normal(ts::Shape{n, k}) : gen.normal(ts::Shape{k, n});
+    const char* op = nt ? "matmul_nt" : "matmul_tn";
+    for (int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      const int reps = flops < 1e8 ? 20 : 3;
+      const double t = best_of(reps, [&] { ts::matmul2d(a, b, !nt, nt); });
+      emit(op, shape, threads, t * 1e9, bytes / t / 1e9, flops / t / 1e9);
+      std::printf("%-13s %-18s t=%d  %8.3f ms  %6.1f GFLOP/s\n", op, shape,
+                  threads, t * 1e3, flops / t / 1e9);
+    }
+  }
+  core::set_num_threads(1);
+}
+
+// Best-of-`reps` wall time of one backward pass: build() returns a fresh
+// graph's output outside the timed region, then backward from `seed` is
+// timed.
+template <typename Build>
+double best_backward(int reps, const ts::Tensor& seed, Build&& build) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    ag::Variable y = build();
+    const auto t0 = Clock::now();
+    y.backward(seed);
+    const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
+    if (dt < best) best = dt;
+  }
+  return best;
+}
+
+void emit_timing(const char* op, const std::string& shape, int threads,
+                 double t) {
+  emit(op, shape, threads, t * 1e9, 0.0);
+  std::printf("%-18s %-16s t=%d  %8.3f ms\n", op, shape.c_str(), threads,
+              t * 1e3);
+}
+
+// One attention layer, forward + backward from a fixed seed: the
+// projections, head-strided scores, softmax and head-strided context.
+void bench_attention_heads(int64_t b, int64_t s, int64_t h, int64_t nh) {
+  ts::Generator gen(13);
+  const nn::MultiHeadAttention attn(h, nh, gen);
+  const ts::Tensor xv = gen.normal(ts::Shape{b, s, h});
+  const ts::Tensor seed = gen.normal(ts::Shape{b, s, h});
+  const ts::Tensor no_mask;
+  char shape[64];
+  std::snprintf(shape, sizeof(shape), "b%lld_s%lld_h%lld_nh%lld",
+                static_cast<long long>(b), static_cast<long long>(s),
+                static_cast<long long>(h), static_cast<long long>(nh));
+  for (int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    const double t = best_of(10, [&] {
+      ag::Variable x = ag::Variable::leaf(xv, true);
+      attn.forward(x, no_mask).backward(seed);
+    });
+    emit_timing("attention_heads", shape, threads, t);
+  }
+  core::set_num_threads(1);
+}
+
+// The backward passes of the fine-tune step's non-GEMM ops at the
+// finetune_step model's shapes (512 tokens, h=128, intermediate 512, four
+// heads of 64 positions), plus the Linear matmul backward.
+void bench_backward_ops() {
+  ts::Generator gen(17);
+  const ts::Tensor xi = gen.normal(ts::Shape{512, 512});
+  const ts::Tensor bi = gen.normal(ts::Shape{512});
+  const ts::Tensor xh = gen.normal(ts::Shape{512, 128});
+  const ts::Tensor wh = gen.normal(ts::Shape{128, 128});
+  const ts::Tensor gamma = ts::Tensor::ones(ts::Shape{128});
+  const ts::Tensor beta{ts::Shape{128}};
+  const ts::Tensor xs = gen.normal(ts::Shape{32, 64, 64});
+  const ts::Tensor seed_i = gen.normal(ts::Shape{512, 512});
+  const ts::Tensor seed_h = gen.normal(ts::Shape{512, 128});
+  const ts::Tensor seed_s = gen.normal(ts::Shape{32, 64, 64});
+  auto leaf = [](const ts::Tensor& t) { return ag::Variable::leaf(t, true); };
+  for (int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    emit_timing("bias_gelu_bwd", "512x512", threads,
+                best_backward(10, seed_i, [&] {
+                  return ag::bias_act(leaf(xi), leaf(bi), ag::Act::kGelu);
+                }));
+    emit_timing("layernorm_bwd", "512x128", threads,
+                best_backward(10, seed_h, [&] {
+                  return ag::layernorm(leaf(xh), leaf(gamma), leaf(beta));
+                }));
+    emit_timing("softmax_bwd", "32x64x64", threads,
+                best_backward(10, seed_s,
+                              [&] { return ag::softmax_last(leaf(xs)); }));
+    emit_timing("matmul_bwd", "512x128x128", threads,
+                best_backward(10, seed_h,
+                              [&] { return ag::matmul(leaf(xh), leaf(wh)); }));
+  }
   core::set_num_threads(1);
 }
 
@@ -328,6 +441,19 @@ int main(int argc, char** argv) {
       bench_compressor("quant(4b)", quant, x);
     }
   }
+
+  std::printf("\n");
+  // Linear-backward shapes of the perfbench fine-tune model (384 tokens,
+  // h=32, intermediate 128) and of the finetune_step model below (512
+  // tokens, h=128, intermediate 512): the square projection and the MLP
+  // up-projection, as input gradient (nt) and weight gradient (tn).
+  bench_matmul_transposed(384, 32, 32);
+  bench_matmul_transposed(384, 128, 32);
+  bench_matmul_transposed(512, 128, 128);
+  bench_matmul_transposed(512, 512, 128);
+  bench_attention_heads(16, 24, 32, 2);
+  bench_attention_heads(8, 64, 128, 4);
+  bench_backward_ops();
 
   std::printf("\n");
   bench_finetune_step();

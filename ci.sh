@@ -44,11 +44,14 @@ sanitize() {
   # coders (RLE runs, Huffman bit accumulators, plane gathers) are exactly
   # where ASan/UBSan catch off-by-one overruns and shift UB. autograd/ joins
   # for the copy-free backward: row-run permute memcpys and the row-wise
-  # bias reduction through the kernel table.
+  # bias reduction through the kernel table. tensor/ joins for the strided
+  # GEMM: masked tile edges, transposed-operand strides and C row padding
+  # are checked against the old kernels (gemm_test), and the scalar rerun
+  # below covers the scalar tier's partial-vector loads and stores.
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|compress/|autograd/|wire|Lossless' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|autograd/|wire|Lossless' \
       --no-tests=error --output-on-failure -j "$jobs"
   # The same slice once more with the kernel dispatch pinned to the scalar
   # tier: the SIMD tiers must be a pure throughput change (DESIGN.md §15),
@@ -58,7 +61,7 @@ sanitize() {
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|compress/|autograd/|wire|Lossless' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|autograd/|wire|Lossless' \
       --no-tests=error --output-on-failure -j "$jobs"
 }
 
@@ -68,7 +71,7 @@ tsan() {
     -DACTCOMP_WERROR=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
-    --target core_test tensor_test compress_test codec_fastpath_test \
+    --target core_test tensor_test gemm_test compress_test codec_fastpath_test \
              fuzz_test obs_test autograd_test autograd_fastpath_test \
              checkpoint_test recovery_test topology_test \
              kv_cache_test serving_test serving_resilience_test \

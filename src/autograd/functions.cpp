@@ -94,30 +94,26 @@ Variable matmul(const Variable& a, const Variable& b) {
   return Variable::make(
       std::move(out), {a, b},
       [an = a.node(), bn = b.node(), ra, rb](Node& n) {
+        // dA = g·Bᵀ and dB = Aᵀ·g, with the transposes read in place.
         const ts::Tensor& g = n.grad;
-        if (ra == 2 && rb == 2) {
-          if (an->requires_grad)
-            an->accumulate(ts::matmul2d(g, ts::transpose_last2(bn->value)));
-          if (bn->requires_grad)
-            bn->accumulate(ts::matmul2d(ts::transpose_last2(an->value), g));
-        } else if (ra == 3 && rb == 2) {
+        if (ra == 3 && rb == 2) {
           const int64_t B = an->value.dim(0), m = an->value.dim(1),
                         k = an->value.dim(2);
           const int64_t nn = bn->value.dim(1);
           ts::Tensor g2 = g.reshape(ts::Shape{B * m, nn});
           if (an->requires_grad) {
-            an->accumulate(ts::matmul2d(g2, ts::transpose_last2(bn->value))
+            an->accumulate(ts::matmul2d(g2, bn->value, false, true)
                                .reshape(ts::Shape{B, m, k}));
           }
           if (bn->requires_grad) {
             ts::Tensor a2 = an->value.reshape(ts::Shape{B * m, k});
-            bn->accumulate(ts::matmul2d(ts::transpose_last2(a2), g2));
+            bn->accumulate(ts::matmul2d(a2, g2, true, false));
           }
-        } else {  // 3x3 batched
+        } else {  // 2x2, or 3x3 batched
           if (an->requires_grad)
-            an->accumulate(ts::matmul(g, ts::transpose_last2(bn->value)));
+            an->accumulate(ts::matmul(g, bn->value, false, true));
           if (bn->requires_grad)
-            bn->accumulate(ts::matmul(ts::transpose_last2(an->value), g));
+            bn->accumulate(ts::matmul(an->value, g, true, false));
         }
       },
       "matmul");
@@ -145,14 +141,6 @@ Variable permute(const Variable& a, const std::vector<int>& axes) {
         an->accumulate(ts::permute(n.grad, inverse));
       },
       "permute");
-}
-
-Variable transpose_last2(const Variable& a) {
-  const int r = a.value().rank();
-  std::vector<int> axes(static_cast<size_t>(r));
-  for (int i = 0; i < r; ++i) axes[static_cast<size_t>(i)] = i;
-  std::swap(axes[axes.size() - 1], axes[axes.size() - 2]);
-  return permute(a, axes);
 }
 
 Variable concat_last(const std::vector<Variable>& parts) {

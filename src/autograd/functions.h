@@ -25,7 +25,6 @@ Variable add_scalar(const Variable& a, float s);
 Variable matmul(const Variable& a, const Variable& b);  // 2D/3D as tensor::matmul
 Variable reshape(const Variable& a, tensor::Shape shape);
 Variable permute(const Variable& a, const std::vector<int>& axes);
-Variable transpose_last2(const Variable& a);
 Variable concat_last(const std::vector<Variable>& parts);
 Variable slice_last(const Variable& a, int64_t start, int64_t len);
 

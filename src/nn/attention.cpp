@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "autograd/functions.h"
 #include "tensor/check.h"
+#include "tensor/ops.h"
 
 namespace actcomp::nn {
 
@@ -26,12 +28,93 @@ MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t num_heads,
 
 namespace {
 
-/// [b, s, h] -> [b*nh, s, dh]
-ag::Variable split_heads(const ag::Variable& x, int64_t b, int64_t s, int64_t nh,
-                         int64_t dh) {
-  ag::Variable r = ag::reshape(x, ts::Shape{b, s, nh, dh});
-  r = ag::permute(r, {0, 2, 1, 3});  // [b, nh, s, dh]
-  return ag::reshape(r, ts::Shape{b * nh, s, dh});
+/// The heads of a [b, rows, h] activation as a [b, nh] batch of rows x dh
+/// matrices, in place: row stride h, batch strides rows * h and dh.
+ts::MatrixBatch heads(const ts::Tensor& t, int64_t dh) {
+  const int64_t h = t.dim(2);
+  return {t.data().data(), h, 1, t.dim(1) * h, dh};
+}
+ts::OutputBatch heads_out(ts::Tensor& t, int64_t dh) {
+  const int64_t h = t.dim(2);
+  return {t.data().data(), h, t.dim(1) * h, dh};
+}
+
+/// A [b*nh, r, c] score-shaped tensor as a [b, nh] batch of r x c matrices.
+ts::MatrixBatch score_mats(const ts::Tensor& t, int64_t nh) {
+  const int64_t r = t.dim(1), c = t.dim(2);
+  return {t.data().data(), c, 1, nh * r * c, r * c};
+}
+ts::OutputBatch score_mats_out(ts::Tensor& t, int64_t nh) {
+  const int64_t r = t.dim(1), c = t.dim(2);
+  return {t.data().data(), c, nh * r * c, r * c};
+}
+
+/// Per-head scores q_h · k_hᵀ -> [b*nh, sq, sk], read straight from the
+/// [b, sq, h] query and [b, ≥sk, h] key projections (the first sk key rows
+/// of each batch row are used, so a KvCache store serves as k).
+ag::Variable head_scores(const ag::Variable& q, const ag::Variable& k,
+                         int64_t nh, int64_t sk) {
+  const ts::Tensor& qv = q.value();
+  const int64_t b = qv.dim(0), sq = qv.dim(1), dh = qv.dim(2) / nh;
+  ts::Tensor out{ts::Shape{b * nh, sq, sk}};
+  ts::matmul_strided(b, nh, sq, dh, sk, heads(qv, dh),
+                     heads(k.value(), dh).t(), score_mats_out(out, nh));
+  return ag::Variable::make(
+      std::move(out), {q, k},
+      [qn = q.node(), kn = k.node(), nh, sk](ag::detail::Node& n) {
+        const ts::Tensor& qv = qn->value;
+        const ts::Tensor& kv = kn->value;
+        const int64_t b = qv.dim(0), sq = qv.dim(1), dh = qv.dim(2) / nh;
+        const ts::MatrixBatch g = score_mats(n.grad, nh);
+        if (qn->requires_grad) {  // dq_h = g · k_h
+          ts::Tensor dq{qv.shape()};
+          ts::matmul_strided(b, nh, sq, sk, dh, g, heads(kv, dh),
+                             heads_out(dq, dh));
+          qn->accumulate(std::move(dq));
+        }
+        if (kn->requires_grad) {  // dk_h = gᵀ · q_h
+          ts::Tensor dk{kv.shape()};
+          ts::matmul_strided(b, nh, sk, sq, dh, g.t(), heads(qv, dh),
+                             heads_out(dk, dh));
+          kn->accumulate(std::move(dk));
+        }
+      },
+      "head_scores");
+}
+
+/// Per-head context attn_h · v_h -> [b, sq, h], written straight into the
+/// merged-head layout. attn is [b*nh, sq, sk]; v is [b, ≥sk, h] as k above.
+ag::Variable head_context(const ag::Variable& attn, const ag::Variable& v,
+                          int64_t nh) {
+  const ts::Tensor& av = attn.value();
+  const ts::Tensor& vv = v.value();
+  const int64_t b = vv.dim(0), h = vv.dim(2), dh = h / nh;
+  const int64_t sq = av.dim(1), sk = av.dim(2);
+  ts::Tensor out{ts::Shape{b, sq, h}};
+  ts::matmul_strided(b, nh, sq, sk, dh, score_mats(av, nh), heads(vv, dh),
+                     heads_out(out, dh));
+  return ag::Variable::make(
+      std::move(out), {attn, v},
+      [an = attn.node(), vn = v.node(), nh](ag::detail::Node& n) {
+        const ts::Tensor& av = an->value;
+        const ts::Tensor& vv = vn->value;
+        const int64_t b = vv.dim(0), dh = vv.dim(2) / nh;
+        const int64_t sq = av.dim(1), sk = av.dim(2);
+        const ts::MatrixBatch g = heads(n.grad, dh);
+        if (an->requires_grad) {  // dattn = g_h · v_hᵀ
+          ts::Tensor da{av.shape()};
+          ts::matmul_strided(b, nh, sq, dh, sk, g, heads(vv, dh).t(),
+                             score_mats_out(da, nh));
+          an->accumulate(std::move(da));
+        }
+        if (vn->requires_grad) {  // dv_h = attnᵀ · g_h
+          ts::Tensor dv{vv.shape()};
+          ts::matmul_strided(b, nh, sk, sq, dh, score_mats(av, nh).t(), g,
+                             heads_out(dv, dh));
+          vn->accumulate(std::move(dv));
+        }
+      },
+      "head_context");
 }
 
 /// Additive causal mask [groups, n, total]: query row i sits at global
@@ -55,6 +138,19 @@ ts::Tensor causal_mask(int64_t groups, int64_t n, int64_t total, int64_t start) 
 
 }  // namespace
 
+ag::Variable MultiHeadAttention::attend(const ag::Variable& q,
+                                        const ag::Variable& k,
+                                        const ag::Variable& v, int64_t keys,
+                                        ts::Tensor mask) const {
+  ag::Variable scores = head_scores(q, k, heads_, keys);  // [b*nh, sq, keys]
+  scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
+  if (mask.numel() > 0) {
+    scores = ag::add(scores, ag::Variable::leaf(std::move(mask)));
+  }
+  ag::Variable attn = ag::softmax_last(scores);
+  return wo_.forward(head_context(attn, v, heads_));  // [b, sq, h]
+}
+
 ag::Variable MultiHeadAttention::forward(const ag::Variable& x,
                                          const ts::Tensor& key_mask) const {
   const ts::Tensor& xv = x.value();
@@ -62,20 +158,13 @@ ag::Variable MultiHeadAttention::forward(const ag::Variable& x,
                 "attention expects [b, s, " << hidden_ << "], got "
                                             << xv.shape().str());
   const int64_t b = xv.dim(0), s = xv.dim(1);
-
-  ag::Variable q = split_heads(wq_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable k = split_heads(wk_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable v = split_heads(wv_.forward(x), b, s, heads_, head_dim_);
-
-  ag::Variable scores = ag::matmul(q, ag::transpose_last2(k));  // [b*nh, s, s]
-  scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-
+  ts::Tensor full;
   if (key_mask.numel() > 0) {
     ACTCOMP_CHECK(key_mask.shape() == (ts::Shape{b, s}),
                   "key_mask must be [b, s], got " << key_mask.shape().str());
     // Expand the per-key mask to [b*nh, s, s]: every (query row, head) sees
     // the same additive bias over keys.
-    ts::Tensor full{ts::Shape{b * heads_, s, s}};
+    full = ts::Tensor{ts::Shape{b * heads_, s, s}};
     const auto dm = key_mask.data();
     auto df = full.data();
     for (int64_t bi = 0; bi < b; ++bi) {
@@ -86,15 +175,11 @@ ag::Variable MultiHeadAttention::forward(const ag::Variable& x,
         }
       }
     }
-    scores = ag::add(scores, ag::Variable::leaf(std::move(full)));
   }
-
-  ag::Variable attn = ag::softmax_last(scores);
-  ag::Variable ctx = ag::matmul(attn, v);  // [b*nh, s, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, heads_, s, head_dim_});
-  ctx = ag::permute(ctx, {0, 2, 1, 3});  // [b, s, nh, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, s, hidden_});
-  return wo_.forward(ctx);
+  ag::Variable q = wq_.forward(x);
+  ag::Variable k = wk_.forward(x);
+  ag::Variable v = wv_.forward(x);
+  return attend(q, k, v, s, std::move(full));
 }
 
 ag::Variable MultiHeadAttention::forward_causal(const ag::Variable& x) const {
@@ -103,21 +188,10 @@ ag::Variable MultiHeadAttention::forward_causal(const ag::Variable& x) const {
                 "causal attention expects [b, s, " << hidden_ << "], got "
                                                    << xv.shape().str());
   const int64_t b = xv.dim(0), s = xv.dim(1);
-
-  ag::Variable q = split_heads(wq_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable k = split_heads(wk_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable v = split_heads(wv_.forward(x), b, s, heads_, head_dim_);
-
-  ag::Variable scores = ag::matmul(q, ag::transpose_last2(k));  // [b*nh, s, s]
-  scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  scores = ag::add(scores, ag::Variable::leaf(causal_mask(b * heads_, s, s, 0)));
-
-  ag::Variable attn = ag::softmax_last(scores);
-  ag::Variable ctx = ag::matmul(attn, v);  // [b*nh, s, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, heads_, s, head_dim_});
-  ctx = ag::permute(ctx, {0, 2, 1, 3});
-  ctx = ag::reshape(ctx, ts::Shape{b, s, hidden_});
-  return wo_.forward(ctx);
+  ag::Variable q = wq_.forward(x);
+  ag::Variable k = wk_.forward(x);
+  ag::Variable v = wv_.forward(x);
+  return attend(q, k, v, s, causal_mask(b * heads_, s, s, 0));
 }
 
 ag::Variable MultiHeadAttention::forward_cached(const ag::Variable& x,
@@ -139,24 +213,11 @@ ag::Variable MultiHeadAttention::forward_cached(const ag::Variable& x,
   ag::Variable k = wk_.forward(x);
   ag::Variable v = wv_.forward(x);
   cache.append(layer, k.value(), v.value());
-
-  ag::Variable q3 = split_heads(q, b, n, heads_, head_dim_);
-  ag::Variable k3 = split_heads(ag::Variable::leaf(cache.keys(layer, total)), b,
-                                total, heads_, head_dim_);
-  ag::Variable v3 = split_heads(ag::Variable::leaf(cache.values(layer, total)),
-                                b, total, heads_, head_dim_);
-
-  ag::Variable scores = ag::matmul(q3, ag::transpose_last2(k3));  // [b*nh, n, total]
-  scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  scores =
-      ag::add(scores, ag::Variable::leaf(causal_mask(b * heads_, n, total, start)));
-
-  ag::Variable attn = ag::softmax_last(scores);
-  ag::Variable ctx = ag::matmul(attn, v3);  // [b*nh, n, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, heads_, n, head_dim_});
-  ctx = ag::permute(ctx, {0, 2, 1, 3});
-  ctx = ag::reshape(ctx, ts::Shape{b, n, hidden_});
-  return wo_.forward(ctx);
+  // The [b, capacity, h] stores are read in place: the first `total` rows
+  // of each batch row are this layer's keys and values so far.
+  return attend(q, ag::Variable::leaf(cache.keys(layer, total)),
+                ag::Variable::leaf(cache.values(layer, total)), total,
+                causal_mask(b * heads_, n, total, start));
 }
 
 std::vector<NamedParam> MultiHeadAttention::named_parameters() const {

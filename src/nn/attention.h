@@ -35,6 +35,15 @@ class MultiHeadAttention final : public Module {
   int64_t num_heads() const { return heads_; }
 
  private:
+  /// Scaled dot-product attention of the [b, sq, h] queries over the first
+  /// `keys` rows of the [b, ·, h] keys/values, plus the additive `mask`
+  /// ([b*nh, sq, keys], or empty), through the output projection. Heads
+  /// are read and written in place in the [b, ·, h] layout.
+  autograd::Variable attend(const autograd::Variable& q,
+                            const autograd::Variable& k,
+                            const autograd::Variable& v, int64_t keys,
+                            tensor::Tensor mask) const;
+
   int64_t hidden_;
   int64_t heads_;
   int64_t head_dim_;

@@ -94,35 +94,23 @@ void KvCache::commit() {
   step_open_ = false;
 }
 
-tensor::Tensor KvCache::gather(const tensor::Tensor& store, int64_t layer,
-                               int64_t total) const {
-  const int64_t visible =
-      len_ + (step_open_ && slots_[static_cast<size_t>(layer)].appended ? step_n_
-                                                                        : 0);
+const KvCache::Slot& KvCache::visible_slot(int64_t layer, int64_t total) const {
+  ACTCOMP_CHECK(layer >= 0 && layer < num_layers(),
+                "KvCache: layer " << layer << " out of range");
+  const Slot& slot = slots_[static_cast<size_t>(layer)];
+  const int64_t visible = len_ + (step_open_ && slot.appended ? step_n_ : 0);
   ACTCOMP_CHECK(total >= 0 && total <= visible,
                 "KvCache: requested " << total << " positions of layer " << layer
                                       << ", only " << visible << " are cached");
-  ts::Tensor out{ts::Shape{batch_, total, hidden_}};
-  const auto src = store.data();
-  auto dst = out.data();
-  for (int64_t b = 0; b < batch_; ++b) {
-    std::copy_n(src.data() + static_cast<size_t>(b * cap_ * hidden_),
-                static_cast<size_t>(total * hidden_),
-                dst.data() + static_cast<size_t>(b * total * hidden_));
-  }
-  return out;
+  return slot;
 }
 
-tensor::Tensor KvCache::keys(int64_t layer, int64_t total) const {
-  ACTCOMP_CHECK(layer >= 0 && layer < num_layers(),
-                "KvCache::keys: layer " << layer << " out of range");
-  return gather(slots_[static_cast<size_t>(layer)].k, layer, total);
+const tensor::Tensor& KvCache::keys(int64_t layer, int64_t total) const {
+  return visible_slot(layer, total).k;
 }
 
-tensor::Tensor KvCache::values(int64_t layer, int64_t total) const {
-  ACTCOMP_CHECK(layer >= 0 && layer < num_layers(),
-                "KvCache::values: layer " << layer << " out of range");
-  return gather(slots_[static_cast<size_t>(layer)].v, layer, total);
+const tensor::Tensor& KvCache::values(int64_t layer, int64_t total) const {
+  return visible_slot(layer, total).v;
 }
 
 void KvCache::rollback(int64_t new_len) {

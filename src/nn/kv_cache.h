@@ -50,10 +50,13 @@ class KvCache {
   /// Commits the open step: every layer must have appended.
   void commit();
 
-  /// The first `total` cached key/value rows of `layer` as [batch, total,
-  /// hidden]. Within an open step, rows the layer just appended are visible.
-  tensor::Tensor keys(int64_t layer, int64_t total) const;
-  tensor::Tensor values(int64_t layer, int64_t total) const;
+  /// The key/value storage of `layer`, [batch, capacity(), hidden], after
+  /// checking that its first `total` positions are cached: position t of
+  /// batch row b is storage row b * capacity() + t. No copy is made; the
+  /// reference holds until the next begin_step() that grows storage.
+  /// Within an open step, rows the layer just appended are visible.
+  const tensor::Tensor& keys(int64_t layer, int64_t total) const;
+  const tensor::Tensor& values(int64_t layer, int64_t total) const;
 
   /// Truncates to a shorter committed prefix (no step may be open).
   void rollback(int64_t new_len);
@@ -62,14 +65,12 @@ class KvCache {
 
  private:
   void grow(int64_t needed);
-  tensor::Tensor gather(const tensor::Tensor& store, int64_t layer,
-                        int64_t total) const;
-
   struct Slot {
     tensor::Tensor k;  // [batch, cap, hidden]
     tensor::Tensor v;  // [batch, cap, hidden]
     bool appended = false;  ///< this layer's rows for the open step
   };
+  const Slot& visible_slot(int64_t layer, int64_t total) const;
 
   int64_t batch_;
   int64_t hidden_;

@@ -188,28 +188,46 @@ struct Parser {
       out = Value();
       return true;
     }
-    // number: integer when it has no fraction/exponent and fits int64
+    // number, RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+    // An integer when it has no fraction or exponent and is not -0 (which
+    // only a double holds); strtoll/strtod then read exactly the token.
     const size_t start = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    bool is_double = false;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '+' || text[pos] == '-')) {
-      if (text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E') {
-        is_double = true;
+    auto digits = [&] {
+      const size_t from = pos;
+      while (pos < text.size() &&
+             std::isdigit(static_cast<unsigned char>(text[pos]))) {
+        ++pos;
       }
-      ++pos;
+      return pos > from;
+    };
+    if (pos < text.size() && text[pos] == '-') ++pos;
+    if (pos >= text.size() || !std::isdigit(static_cast<unsigned char>(text[pos]))) {
+      return fail(pos == start ? "unexpected character" : "bad number");
     }
-    if (pos == start) return fail("unexpected character");
+    if (text[pos] == '0') {
+      ++pos;
+    } else {
+      digits();
+    }
+    bool is_double = false;
+    if (pos < text.size() && text[pos] == '.') {
+      ++pos;
+      is_double = true;
+      if (!digits()) return fail("bad number: no digits after '.'");
+    }
+    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+      ++pos;
+      is_double = true;
+      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
+      if (!digits()) return fail("bad number: no exponent digits");
+    }
     const std::string num(text.substr(start, pos - start));
-    if (is_double) {
+    if (is_double || num == "-0") {
       out = Value(std::strtod(num.c_str(), nullptr));
     } else {
       errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(num.c_str(), &end, 10);
-      if (errno != 0 || end == num.c_str()) return fail("bad integer");
+      const long long v = std::strtoll(num.c_str(), nullptr, 10);
+      if (errno != 0) return fail("bad integer");
       out = Value(static_cast<int64_t>(v));
     }
     return true;

@@ -32,13 +32,16 @@ struct KernelTable {
   const char* name;
 
   // ---- GEMM ----
-  // c (m x n, zero-initialized) += a (m x k) * b (k x n). Packs B into
-  // panels, parallelizes rows, walks k ascending per C element.
-  void (*gemm_into)(const float* a, const float* b, float* c, int64_t m,
-                    int64_t k, int64_t n);
-  // Streaming i-k-j kernel for shapes below the packing threshold; serial.
-  void (*gemm_simple)(const float* a, const float* b, float* c, int64_t m,
-                      int64_t k, int64_t n);
+  // c[i * ldc + j] = sum over p of a(i, p) * b(p, j) for i < m, j < n,
+  // where a(i, p) = a[i * a_rs + p * a_cs] and b(p, j) = b[p * b_rs +
+  // j * b_cs]: a transposed operand is passed with its strides swapped.
+  // Overwrites C. Each element starts from 0 and adds its products in
+  // ascending p. Up to kSimpleGemmFlops multiply-adds run serially on the
+  // operands in place; larger ones split rows over the pool and read B in
+  // place up to kInPlaceB floats, from packed panels beyond (gemm_common.h).
+  void (*gemm)(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
+               int64_t b_rs, int64_t b_cs, float* c, int64_t ldc, int64_t m,
+               int64_t k, int64_t n);
 
   // ---- elementwise (i in [lo, hi); b index is i % nb, nb == len(a) for
   // same-shape operands) ----

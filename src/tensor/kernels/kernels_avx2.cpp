@@ -13,8 +13,7 @@ namespace actcomp::tensor::kernels {
 const KernelTable* avx2_kernels() {
   static const KernelTable table = {
       "avx2",
-      avx2i::gemm_into,
-      gemm_simple_impl,
+      avx2i::gemm,
       avx2i::ew_add,
       avx2i::ew_sub,
       avx2i::ew_mul,

@@ -47,40 +47,27 @@ struct DivOp {
   static float s(float x, float y) { return x / y; }
 };
 
-// 5x16 micro-tile on ymm registers: 10 accumulators + 2 B columns + 1
-// broadcast stay inside the 16-register file. Same tile shape and k order
-// as the scalar tier's GNU-vector kernel, so the sums are bit-identical.
+// 5x16 register tile on ymm registers: 10 accumulators + 2 B columns + 1
+// broadcast stay inside the 16-register file.
 struct Avx2GemmPolicy {
-  static constexpr int64_t kNR = 16;
-  static constexpr int64_t kMR = 5;
+  using V = __m256;
+  using Mask = __m256i;  // all-ones in each live lane
+  static constexpr int kVW = 8;
+  static constexpr int kMR = 5;
+  static constexpr int kNV = 2;
 
-  template <int MR, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* panel, float* c,
-                    int64_t ldc, int64_t kc) {
-    __m256 acc[MR][2];
-    for (int r = 0; r < MR; ++r) {
-      if (FIRST) {
-        acc[r][0] = _mm256_setzero_ps();
-        acc[r][1] = _mm256_setzero_ps();
-      } else {
-        acc[r][0] = _mm256_loadu_ps(c + r * ldc);
-        acc[r][1] = _mm256_loadu_ps(c + r * ldc + 8);
-      }
-    }
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const __m256 b0 = _mm256_loadu_ps(panel + kk * kNR);
-      const __m256 b1 = _mm256_loadu_ps(panel + kk * kNR + 8);
-      for (int r = 0; r < MR; ++r) {
-        const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
-        acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
-        acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
-      }
-    }
-    for (int r = 0; r < MR; ++r) {
-      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-    }
+  static V zero() { return _mm256_setzero_ps(); }
+  static V set1(float s) { return _mm256_set1_ps(s); }
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static Mask mask(int64_t lanes) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   }
+  static V load(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
+  static void store(float* p, V v, Mask m) { _mm256_maskstore_ps(p, m, v); }
+  static V add(V x, V y) { return _mm256_add_ps(x, y); }
+  static V mul(V x, V y) { return _mm256_mul_ps(x, y); }
 };
 
 }  // namespace
@@ -444,9 +431,10 @@ static inline void quant_dequantize_row(const uint8_t* q, int64_t cols,
 
 // ---- GEMM ----
 
-static inline void gemm_into(const float* a, const float* b, float* c,
-                             int64_t m, int64_t k, int64_t n) {
-  gemm_into_t<Avx2GemmPolicy>(a, b, c, m, k, n);
+static inline void gemm(const float* a, int64_t a_rs, int64_t a_cs,
+                        const float* b, int64_t b_rs, int64_t b_cs, float* c,
+                        int64_t ldc, int64_t m, int64_t k, int64_t n) {
+  gemm_t<Avx2GemmPolicy>(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, m, k, n);
 }
 
 }  // namespace actcomp::tensor::kernels::avx2i

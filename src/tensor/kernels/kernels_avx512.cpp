@@ -36,40 +36,26 @@ struct DivOp {
   static float s(float x, float y) { return x / y; }
 };
 
-// 8x32 micro-tile: 16 zmm accumulators + 2 B columns + 1 broadcast = 19 of
-// the 32 zmm registers. Same kKC/kRowGrain and per-element ascending-k sum
-// as the other tiers, so the bytes match despite the different tile shape.
+// 8x32 register tile: 16 zmm accumulators + 2 B columns + 1 broadcast =
+// 19 of the 32 zmm registers.
 struct Avx512GemmPolicy {
-  static constexpr int64_t kNR = 32;
-  static constexpr int64_t kMR = 8;
+  using V = __m512;
+  using Mask = __mmask16;
+  static constexpr int kVW = 16;
+  static constexpr int kMR = 8;
+  static constexpr int kNV = 2;
 
-  template <int MR, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* panel, float* c,
-                    int64_t ldc, int64_t kc) {
-    __m512 acc[MR][2];
-    for (int r = 0; r < MR; ++r) {
-      if (FIRST) {
-        acc[r][0] = _mm512_setzero_ps();
-        acc[r][1] = _mm512_setzero_ps();
-      } else {
-        acc[r][0] = _mm512_loadu_ps(c + r * ldc);
-        acc[r][1] = _mm512_loadu_ps(c + r * ldc + 16);
-      }
-    }
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const __m512 b0 = _mm512_loadu_ps(panel + kk * kNR);
-      const __m512 b1 = _mm512_loadu_ps(panel + kk * kNR + 16);
-      for (int r = 0; r < MR; ++r) {
-        const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
-        acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(av, b0));
-        acc[r][1] = _mm512_add_ps(acc[r][1], _mm512_mul_ps(av, b1));
-      }
-    }
-    for (int r = 0; r < MR; ++r) {
-      _mm512_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm512_storeu_ps(c + r * ldc + 16, acc[r][1]);
-    }
+  static V zero() { return _mm512_setzero_ps(); }
+  static V set1(float s) { return _mm512_set1_ps(s); }
+  static V load(const float* p) { return _mm512_loadu_ps(p); }
+  static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
+  static Mask mask(int64_t lanes) {
+    return static_cast<Mask>((1u << lanes) - 1u);
   }
+  static V load(const float* p, Mask m) { return _mm512_maskz_loadu_ps(m, p); }
+  static void store(float* p, V v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
+  static V add(V x, V y) { return _mm512_add_ps(x, y); }
+  static V mul(V x, V y) { return _mm512_mul_ps(x, y); }
 };
 
 }  // namespace
@@ -331,9 +317,10 @@ static inline void fp16_round_trip(const float* in, float* out, int64_t n) {
 
 // ---- GEMM ----
 
-static inline void gemm_into(const float* a, const float* b, float* c,
-                             int64_t m, int64_t k, int64_t n) {
-  gemm_into_t<Avx512GemmPolicy>(a, b, c, m, k, n);
+static inline void gemm(const float* a, int64_t a_rs, int64_t a_cs,
+                        const float* b, int64_t b_rs, int64_t b_cs, float* c,
+                        int64_t ldc, int64_t m, int64_t k, int64_t n) {
+  gemm_t<Avx512GemmPolicy>(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, m, k, n);
 }
 
 }  // namespace avx512i
@@ -341,8 +328,7 @@ static inline void gemm_into(const float* a, const float* b, float* c,
 const KernelTable* avx512_kernels() {
   static const KernelTable table = {
       "avx512",
-      avx512i::gemm_into,
-      gemm_simple_impl,
+      avx512i::gemm,
       avx512i::ew_add,
       avx512i::ew_sub,
       avx512i::ew_mul,

@@ -160,31 +160,71 @@ Tensor map(const Tensor& a, const std::function<float(float)>& f) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM (DESIGN.md §10/§15).
+// GEMM (DESIGN.md §10/§15).
 //
-// The panel-packing driver and per-ISA micro-kernels live in
-// tensor/kernels (gemm_common.h + the per-tier TUs); matmul dispatches
-// through the active kernel table. Every tier walks k in ascending order
-// per C element with mul-then-add, so results are bit-identical across
-// tiers and thread counts (and match the pre-dispatch blocked kernel).
+// One strided kernel entry per tier (tensor/kernels/gemm_common.h): small
+// shapes run a register-tiled kernel on the operands in place, large ones
+// pack B into panels and parallelize rows. Every tier walks k in ascending
+// order per C element with mul-then-add, so results are bit-identical
+// across tiers, thread counts, operand strides and the small/packed split.
 
-Tensor matmul2d(const Tensor& a, const Tensor& b) {
+namespace {
+
+// A row-major rank-2 or rank-3 tensor as a batch of matrices, transposed
+// per matrix when `trans` is set.
+MatrixBatch matrices(const Tensor& t, bool trans) {
+  const int64_t rows = t.dim(-2), cols = t.dim(-1);
+  const MatrixBatch v{t.data().data(), cols, 1, rows * cols, 0};
+  return trans ? v.t() : v;
+}
+
+// The batch loop behind matmul and matmul_strided: small matrices (the
+// attention heads) spread the batch over the pool; larger ones run in
+// order and parallelize rows inside the kernel.
+void gemm_batch(int64_t outer, int64_t inner, int64_t m, int64_t k, int64_t n,
+                const MatrixBatch& a, const MatrixBatch& b,
+                const OutputBatch& c) {
+  const kernels::KernelTable& kt = kernels::active_kernels();
+  auto one = [&](int64_t g) {
+    const int64_t o = g / inner, i = g % inner;
+    kt.gemm(a.data + o * a.outer + i * a.inner, a.rs, a.cs,
+            b.data + o * b.outer + i * b.inner, b.rs, b.cs,
+            c.data + o * c.outer + i * c.inner, c.ldc, m, k, n);
+  };
+  const int64_t count = outer * inner;
+  if (m * n * k <= kernels::kSimpleGemmFlops) {
+    core::parallel_for(0, count, 1, [&](int64_t g0, int64_t g1) {
+      for (int64_t g = g0; g < g1; ++g) one(g);
+    });
+  } else {
+    for (int64_t g = 0; g < count; ++g) one(g);
+  }
+}
+
+}  // namespace
+
+Tensor matmul2d(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   ACTCOMP_CHECK(a.rank() == 2 && b.rank() == 2,
                 "matmul2d needs rank-2 operands, got " << a.shape().str() << " x "
                                                        << b.shape().str());
-  const int64_t m = a.dim(0), k = a.dim(1), k2 = b.dim(0), n = b.dim(1);
-  ACTCOMP_CHECK(k == k2, "matmul2d inner dims differ: " << a.shape().str() << " x "
-                                                        << b.shape().str());
+  const int64_t m = a.dim(trans_a ? 1 : 0), k = a.dim(trans_a ? 0 : 1);
+  const int64_t k2 = b.dim(trans_b ? 1 : 0), n = b.dim(trans_b ? 0 : 1);
+  ACTCOMP_CHECK(k == k2, "matmul2d inner dims differ: "
+                             << a.shape().str() << (trans_a ? "^T" : "") << " x "
+                             << b.shape().str() << (trans_b ? "^T" : ""));
   ACTCOMP_PROFILE("tensor.matmul2d");
   Tensor out(Shape{m, n});
-  kernels::active_kernels().gemm_into(a.data().data(), b.data().data(),
-                                      out.data().data(), m, k, n);
+  const MatrixBatch av = matrices(a, trans_a), bv = matrices(b, trans_b);
+  kernels::active_kernels().gemm(av.data, av.rs, av.cs, bv.data, bv.rs, bv.cs,
+                                 out.data().data(), n, m, k, n);
   return out;
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  if (a.rank() == 2 && b.rank() == 2) return matmul2d(a, b);
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
+  if (a.rank() == 2 && b.rank() == 2) return matmul2d(a, b, trans_a, trans_b);
   if (a.rank() == 3 && b.rank() == 2) {
+    ACTCOMP_CHECK(!trans_a && !trans_b,
+                  "matmul: no transpose flags with a shared right operand");
     const int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2);
     Tensor flat = a.reshape(Shape{B * m, k});
     return matmul2d(flat, b).reshape(Shape{B, m, b.dim(1)});
@@ -193,34 +233,29 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     ACTCOMP_CHECK(a.dim(0) == b.dim(0), "batched matmul batch dims differ: "
                                             << a.shape().str() << " x "
                                             << b.shape().str());
-    ACTCOMP_CHECK(a.dim(2) == b.dim(1), "batched matmul inner dims differ: "
-                                            << a.shape().str() << " x "
-                                            << b.shape().str());
+    const int64_t B = a.dim(0);
+    const int64_t m = a.dim(trans_a ? 2 : 1), k = a.dim(trans_a ? 1 : 2);
+    const int64_t k2 = b.dim(trans_b ? 2 : 1), n = b.dim(trans_b ? 1 : 2);
+    ACTCOMP_CHECK(k == k2, "batched matmul inner dims differ: "
+                               << a.shape().str() << (trans_a ? "^T" : "")
+                               << " x " << b.shape().str()
+                               << (trans_b ? "^T" : ""));
     ACTCOMP_PROFILE("tensor.matmul_batched");
-    const int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(2);
     Tensor out(Shape{B, m, n});
-    const float* pa = a.data().data();
-    const float* pb = b.data().data();
-    float* pc = out.data().data();
-    const kernels::KernelTable& kt = kernels::active_kernels();
-    if (m * n * k <= kernels::kSimpleGemmFlops) {
-      // Small per-batch matrices (attention heads): parallelize across the
-      // batch instead of within one matrix.
-      core::parallel_for(0, B, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t batch = b0; batch < b1; ++batch) {
-          kt.gemm_simple(pa + batch * m * k, pb + batch * k * n,
-                         pc + batch * m * n, m, k, n);
-        }
-      });
-    } else {
-      for (int64_t batch = 0; batch < B; ++batch) {
-        kt.gemm_into(pa + batch * m * k, pb + batch * k * n,
-                     pc + batch * m * n, m, k, n);
-      }
-    }
+    gemm_batch(B, 1, m, k, n, matrices(a, trans_a), matrices(b, trans_b),
+               OutputBatch{out.data().data(), n, m * n, 0});
     return out;
   }
   ACTCOMP_CHECK(false, "matmul: unsupported ranks " << a.rank() << " x " << b.rank());
+}
+
+void matmul_strided(int64_t outer, int64_t inner, int64_t m, int64_t k,
+                    int64_t n, const MatrixBatch& a, const MatrixBatch& b,
+                    const OutputBatch& c) {
+  ACTCOMP_CHECK(outer >= 0 && inner >= 0 && m >= 0 && k >= 0 && n >= 0,
+                "matmul_strided: negative extent");
+  ACTCOMP_PROFILE("tensor.matmul_batched");
+  gemm_batch(outer, inner, m, k, n, a, b, c);
 }
 
 Tensor transpose_last2(const Tensor& a) {

@@ -58,13 +58,45 @@ inline float gelu_grad_from_tanh(float x, float t) {
 Tensor map(const Tensor& a, const std::function<float(float)>& f);
 
 // ---- matmul ----
-/// (m,k) x (k,n) -> (m,n).
-Tensor matmul2d(const Tensor& a, const Tensor& b);
+/// op(a) x op(b) -> (m,n) for rank-2 operands, where op(x) is x, or its
+/// transpose when that operand's flag is set. A transposed operand is read
+/// in place through swapped strides; nothing is materialized.
+Tensor matmul2d(const Tensor& a, const Tensor& b, bool trans_a = false,
+                bool trans_b = false);
 /// Batched matmul. Accepts:
-///   (B,m,k) x (B,k,n) -> (B,m,n)
-///   (B,m,k) x (k,n)   -> (B,m,n)   (shared right operand)
-///   (m,k)   x (k,n)   -> (m,n)
-Tensor matmul(const Tensor& a, const Tensor& b);
+///   (B,m,k) x (B,k,n) -> (B,m,n)   (flags transpose each matrix, as in matmul2d)
+///   (B,m,k) x (k,n)   -> (B,m,n)   (shared right operand; no flags)
+///   (m,k)   x (k,n)   -> (m,n)     (matmul2d)
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
+              bool trans_b = false);
+
+/// A batch of strided matrices inside one float buffer. Matrix (o, i) of an
+/// [outer, inner] batch starts `o * outer + i * inner` floats past `data`,
+/// and its element (r, c) sits a further `r * rs + c * cs` on. The per-head
+/// slices of a [b, s, h] activation are {data, h, 1, s * h, h / heads}.
+struct MatrixBatch {
+  const float* data;
+  int64_t rs;
+  int64_t cs;
+  int64_t outer = 0;
+  int64_t inner = 0;
+  /// The transposed matrices: the same floats with rs and cs swapped.
+  MatrixBatch t() const { return {data, cs, rs, outer, inner}; }
+};
+/// The written batch: unit column stride, row stride `ldc`.
+struct OutputBatch {
+  float* data;
+  int64_t ldc;
+  int64_t outer = 0;
+  int64_t inner = 0;
+};
+/// For every (o, i) in [outer) x [inner): C(o,i) (m x n) = A(o,i) (m x k) x
+/// B(o,i) (k x n), overwriting C's m x n block. Each element is 0 plus its
+/// k products in ascending order, so it matches matmul on copies of the
+/// same matrices byte for byte.
+void matmul_strided(int64_t outer, int64_t inner, int64_t m, int64_t k,
+                    int64_t n, const MatrixBatch& a, const MatrixBatch& b,
+                    const OutputBatch& c);
 
 /// Transpose the last two dimensions (materializes; rank >= 2).
 Tensor transpose_last2(const Tensor& a);

@@ -3,7 +3,8 @@
 // Semantics mirror the common ML-framework convention: copying a Tensor is
 // cheap and aliases the same storage (like a torch.Tensor handle); use
 // clone() for a deep copy. All tensors are contiguous — reshape() is free,
-// and transposes materialize.
+// and transpose_last2 materializes; matmul instead reads a transposed
+// operand in place through its strides (ops.h).
 //
 // The library is CPU-only. Ops in tensor/ops.h split their loops over the
 // core::parallel_for pool with fixed chunking, so results are bit-identical

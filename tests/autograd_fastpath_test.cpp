@@ -9,14 +9,21 @@
 //   * Node::accumulate: a copy of the first gradient and a scalar loop for
 //     later ones (now the first fresh gradient's buffer is adopted and later
 //     ones go through KernelTable::ew_add in place).
+//   * ag::matmul's backward: materialized transposes fed to matmul (now the
+//     transposed operand is read in place through its strides);
+//   * nn::MultiHeadAttention: split_heads + permute copies, a materialized
+//     transpose of K, and a head-merge permute around per-head batched
+//     matmuls (now head-strided GEMMs read Q/K/V and write the context in
+//     the [b, s, h] layout directly).
 // Every comparison is byte for byte; the parallel paths run at 1 and 4 pool
-// threads.
+// threads (the attention and matmul ones at 1, 2 and 4, on every tier).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -26,11 +33,14 @@
 #include "autograd/variable.h"
 #include "core/simd.h"
 #include "core/threadpool.h"
+#include "nn/attention.h"
+#include "nn/kv_cache.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 
 namespace ag = actcomp::autograd;
 namespace core = actcomp::core;
+namespace nn = actcomp::nn;
 namespace ts = actcomp::tensor;
 
 namespace oracle {
@@ -83,6 +93,181 @@ void accumulate_into(ts::Tensor& grad, const ts::Tensor& g) {
   const auto ds = g.data();
   for (size_t i = 0; i < dg.size(); ++i) dg[i] += ds[i];
 }
+
+
+// ag::matmul's backward as it was, verbatim: each transpose materialized.
+void matmul_grads(const ts::Tensor& a, const ts::Tensor& b, const ts::Tensor& g,
+                  ts::Tensor* da, ts::Tensor* db) {
+  const int ra = a.rank(), rb = b.rank();
+  if (ra == 2 && rb == 2) {
+    *da = ts::matmul2d(g, ts::transpose_last2(b));
+    *db = ts::matmul2d(ts::transpose_last2(a), g);
+  } else if (ra == 3 && rb == 2) {
+    const int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2);
+    const int64_t nn = b.dim(1);
+    ts::Tensor g2 = g.reshape(ts::Shape{B * m, nn});
+    *da = ts::matmul2d(g2, ts::transpose_last2(b)).reshape(ts::Shape{B, m, k});
+    ts::Tensor a2 = a.reshape(ts::Shape{B * m, k});
+    *db = ts::matmul2d(ts::transpose_last2(a2), g2);
+  } else {  // 3x3 batched
+    *da = ts::matmul(g, ts::transpose_last2(b));
+    *db = ts::matmul(ts::transpose_last2(a), g);
+  }
+}
+
+// autograd::transpose_last2 as it was, verbatim.
+ag::Variable transpose_last2(const ag::Variable& a) {
+  const int r = a.value().rank();
+  std::vector<int> axes(static_cast<size_t>(r));
+  for (int i = 0; i < r; ++i) axes[static_cast<size_t>(i)] = i;
+  std::swap(axes[axes.size() - 1], axes[axes.size() - 2]);
+  return ag::permute(a, axes);
+}
+
+/// [b, s, h] -> [b*nh, s, dh]
+ag::Variable split_heads(const ag::Variable& x, int64_t b, int64_t s, int64_t nh,
+                         int64_t dh) {
+  ag::Variable r = ag::reshape(x, ts::Shape{b, s, nh, dh});
+  r = ag::permute(r, {0, 2, 1, 3});  // [b, nh, s, dh]
+  return ag::reshape(r, ts::Shape{b * nh, s, dh});
+}
+
+ts::Tensor causal_mask(int64_t groups, int64_t n, int64_t total, int64_t start) {
+  ts::Tensor m{ts::Shape{groups, n, total}};
+  const float ninf = -std::numeric_limits<float>::infinity();
+  auto d = m.data();
+  for (int64_t g = 0; g < groups; ++g) {
+    for (int64_t i = 0; i < n; ++i) {
+      float* row = d.data() + static_cast<size_t>((g * n + i) * total);
+      for (int64_t j = start + i + 1; j < total; ++j) row[j] = ninf;
+    }
+  }
+  return m;
+}
+
+// The first `total` cached rows of a [b, capacity, h] store as a [b, total,
+// h] copy, as KvCache::keys/values returned them.
+ts::Tensor cached_rows(const ts::Tensor& store, int64_t total) {
+  const int64_t b = store.dim(0), cap = store.dim(1), h = store.dim(2);
+  ts::Tensor out{ts::Shape{b, total, h}};
+  const auto src = store.data();
+  auto dst = out.data();
+  for (int64_t bi = 0; bi < b; ++bi) {
+    std::copy_n(src.data() + static_cast<size_t>(bi * cap * h),
+                static_cast<size_t>(total * h),
+                dst.data() + static_cast<size_t>(bi * total * h));
+  }
+  return out;
+}
+
+// nn::MultiHeadAttention's three forward passes as they were, verbatim
+// except that the projections read the module's parameters by name
+// (Linear::forward is matmul then bias_act).
+class Attention {
+ public:
+  explicit Attention(const nn::MultiHeadAttention& m)
+      : hidden_(m.hidden()), heads_(m.num_heads()), head_dim_(hidden_ / heads_) {
+    for (const auto& [name, p] : m.named_parameters()) params_[name] = p;
+  }
+
+  ag::Variable forward(const ag::Variable& x, const ts::Tensor& key_mask) const {
+    const ts::Tensor& xv = x.value();
+    const int64_t b = xv.dim(0), s = xv.dim(1);
+
+    ag::Variable q = split_heads(proj("wq", x), b, s, heads_, head_dim_);
+    ag::Variable k = split_heads(proj("wk", x), b, s, heads_, head_dim_);
+    ag::Variable v = split_heads(proj("wv", x), b, s, heads_, head_dim_);
+
+    ag::Variable scores = ag::matmul(q, transpose_last2(k));  // [b*nh, s, s]
+    scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
+
+    if (key_mask.numel() > 0) {
+      ts::Tensor full{ts::Shape{b * heads_, s, s}};
+      const auto dm = key_mask.data();
+      auto df = full.data();
+      for (int64_t bi = 0; bi < b; ++bi) {
+        for (int64_t hrow = 0; hrow < heads_ * s; ++hrow) {
+          for (int64_t key = 0; key < s; ++key) {
+            df[static_cast<size_t>(((bi * heads_ * s) + hrow) * s + key)] =
+                dm[static_cast<size_t>(bi * s + key)];
+          }
+        }
+      }
+      scores = ag::add(scores, ag::Variable::leaf(std::move(full)));
+    }
+
+    ag::Variable attn = ag::softmax_last(scores);
+    ag::Variable ctx = ag::matmul(attn, v);  // [b*nh, s, dh]
+    ctx = ag::reshape(ctx, ts::Shape{b, heads_, s, head_dim_});
+    ctx = ag::permute(ctx, {0, 2, 1, 3});  // [b, s, nh, dh]
+    ctx = ag::reshape(ctx, ts::Shape{b, s, hidden_});
+    return proj("wo", ctx);
+  }
+
+  ag::Variable forward_causal(const ag::Variable& x) const {
+    const ts::Tensor& xv = x.value();
+    const int64_t b = xv.dim(0), s = xv.dim(1);
+
+    ag::Variable q = split_heads(proj("wq", x), b, s, heads_, head_dim_);
+    ag::Variable k = split_heads(proj("wk", x), b, s, heads_, head_dim_);
+    ag::Variable v = split_heads(proj("wv", x), b, s, heads_, head_dim_);
+
+    ag::Variable scores = ag::matmul(q, transpose_last2(k));  // [b*nh, s, s]
+    scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
+    scores = ag::add(scores, ag::Variable::leaf(causal_mask(b * heads_, s, s, 0)));
+
+    ag::Variable attn = ag::softmax_last(scores);
+    ag::Variable ctx = ag::matmul(attn, v);  // [b*nh, s, dh]
+    ctx = ag::reshape(ctx, ts::Shape{b, heads_, s, head_dim_});
+    ctx = ag::permute(ctx, {0, 2, 1, 3});
+    ctx = ag::reshape(ctx, ts::Shape{b, s, hidden_});
+    return proj("wo", ctx);
+  }
+
+  ag::Variable forward_cached(const ag::Variable& x, nn::KvCache& cache,
+                              int64_t layer) const {
+    const ts::Tensor& xv = x.value();
+    const int64_t b = xv.dim(0), n = xv.dim(1);
+    const int64_t start = cache.len();
+    const int64_t total = start + n;
+
+    ag::Variable q = proj("wq", x);
+    ag::Variable k = proj("wk", x);
+    ag::Variable v = proj("wv", x);
+    cache.append(layer, k.value(), v.value());
+
+    ag::Variable q3 = split_heads(q, b, n, heads_, head_dim_);
+    ag::Variable k3 = split_heads(
+        ag::Variable::leaf(cached_rows(cache.keys(layer, total), total)), b,
+        total, heads_, head_dim_);
+    ag::Variable v3 = split_heads(
+        ag::Variable::leaf(cached_rows(cache.values(layer, total), total)), b,
+        total, heads_, head_dim_);
+
+    ag::Variable scores = ag::matmul(q3, transpose_last2(k3));  // [b*nh, n, total]
+    scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
+    scores =
+        ag::add(scores, ag::Variable::leaf(causal_mask(b * heads_, n, total, start)));
+
+    ag::Variable attn = ag::softmax_last(scores);
+    ag::Variable ctx = ag::matmul(attn, v3);  // [b*nh, n, dh]
+    ctx = ag::reshape(ctx, ts::Shape{b, heads_, n, head_dim_});
+    ctx = ag::permute(ctx, {0, 2, 1, 3});
+    ctx = ag::reshape(ctx, ts::Shape{b, n, hidden_});
+    return proj("wo", ctx);
+  }
+
+ private:
+  ag::Variable proj(const std::string& name, const ag::Variable& x) const {
+    return ag::bias_act(ag::matmul(x, params_.at(name + ".weight")),
+                        params_.at(name + ".bias"), ag::Act::kNone);
+  }
+
+  int64_t hidden_;
+  int64_t heads_;
+  int64_t head_dim_;
+  std::map<std::string, ag::Variable> params_;
+};
 
 }  // namespace oracle
 
@@ -363,4 +548,193 @@ TEST(MoveAccumulate, BackwardTwiceAccumulates) {
   EXPECT_TRUE(same_bytes(h.grad(), want_h));
   EXPECT_TRUE(same_bytes(b.grad(), want_b));
   EXPECT_TRUE(same_bytes(x.grad(), want_x));
+}
+
+// ---- transposed-operand matmul backward ----
+
+// ag::matmul's gradients against the materialized-transpose backward, for
+// the 2x2, 3x2 and 3x3 forms at the Linear and attention shapes.
+TEST(MatmulBackwardFastPath, GradientsMatchMaterializedTransposes) {
+  ThreadGuard guard;
+  const std::vector<std::pair<ts::Shape, ts::Shape>> cases = {
+      {ts::Shape{384, 32}, ts::Shape{32, 32}},
+      {ts::Shape{32, 384}, ts::Shape{384, 128}},
+      {ts::Shape{2, 600}, ts::Shape{600, 9}},
+      {ts::Shape{16, 24, 32}, ts::Shape{32, 128}},
+      {ts::Shape{8, 64, 128}, ts::Shape{128, 512}},
+      {ts::Shape{32, 24, 16}, ts::Shape{32, 16, 24}},
+      {ts::Shape{3, 5, 1}, ts::Shape{3, 1, 7}}};
+  for (const auto& [as, bs] : cases) {
+    ts::Generator gen(41);
+    const ts::Tensor av = gen.normal(as);
+    const ts::Tensor bv = gen.normal(bs);
+    ag::Variable probe = ag::matmul(ag::Variable::leaf(av), ag::Variable::leaf(bv));
+    ts::Tensor seed = gen.normal(probe.value().shape());
+    seed.data()[0] = -0.0f;
+    ts::Tensor want_a, want_b;
+    oracle::matmul_grads(av, bv, seed, &want_a, &want_b);
+    for_each_supported_isa([&](core::SimdIsa isa) {
+      IsaGuard isa_guard(isa);
+      for (int threads : {1, 2, 4}) {
+        core::set_num_threads(threads);
+        ag::Variable a = ag::Variable::leaf(av, true);
+        ag::Variable b = ag::Variable::leaf(bv, true);
+        ag::matmul(a, b).backward(seed);
+        const std::string where = as.str() + " x " + bs.str() + " " +
+                                  core::simd_isa_name(isa) +
+                                  " t=" + std::to_string(threads);
+        EXPECT_TRUE(same_bytes(a.grad(), want_a)) << where;
+        EXPECT_TRUE(same_bytes(b.grad(), want_b)) << where;
+      }
+    });
+  }
+}
+
+// ---- head-strided attention ----
+
+struct AttentionCase {
+  int64_t b, s, h, nh;
+};
+
+// The perfbench fine-tune shape, the kernels_bench finetune_step shape, one
+// head, a head width that is not a multiple of 16, and a single position.
+const std::vector<AttentionCase>& attention_cases() {
+  static const std::vector<AttentionCase> c = {
+      {16, 24, 32, 2}, {8, 64, 128, 4}, {3, 5, 16, 1}, {2, 7, 30, 3}, {4, 1, 32, 2}};
+  return c;
+}
+
+std::string attention_where(const AttentionCase& c) {
+  return "b" + std::to_string(c.b) + " s" + std::to_string(c.s) + " h" +
+         std::to_string(c.h) + " nh" + std::to_string(c.nh);
+}
+
+// Output, input gradient and every parameter gradient (empty when a
+// parameter got none) of one forward + backward from a fixed seed.
+template <typename Fwd>
+std::vector<ts::Tensor> forward_backward(const nn::MultiHeadAttention& m,
+                                         const ts::Tensor& xv,
+                                         const ts::Tensor& seed, Fwd&& fwd) {
+  for (auto [name, p] : m.named_parameters()) p.zero_grad();
+  ag::Variable x = ag::Variable::leaf(xv, true);
+  ag::Variable y = fwd(x);
+  y.backward(seed);
+  std::vector<ts::Tensor> out{y.value(), x.grad()};
+  for (const auto& [name, p] : m.named_parameters()) {
+    out.push_back(p.has_grad() ? p.grad() : ts::Tensor{});
+  }
+  return out;
+}
+
+void expect_same(const std::vector<ts::Tensor>& got,
+                 const std::vector<ts::Tensor>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(same_bytes(got[i], want[i]))
+        << where << (i == 0 ? " output" : i == 1 ? " x grad" : " param grad ")
+        << (i >= 2 ? std::to_string(i - 2) : "");
+  }
+}
+
+// forward (without and with a key mask) and forward_causal: output and
+// every gradient against the split-head oracle, on every tier at 1, 2 and
+// 4 threads.
+TEST(AttentionFastPath, FullSequencePassesMatchSplitHeadOracle) {
+  ThreadGuard guard;
+  for (const AttentionCase& c : attention_cases()) {
+    ts::Generator gen(51);
+    const nn::MultiHeadAttention m(c.h, c.nh, gen);
+    const oracle::Attention old(m);
+    const ts::Tensor xv = gen.normal(ts::Shape{c.b, c.s, c.h});
+    const ts::Tensor seed = gen.normal(ts::Shape{c.b, c.s, c.h});
+    ts::Tensor mask{ts::Shape{c.b, c.s}};
+    for (int64_t bi = 1; bi < c.b; bi += 2) {
+      for (int64_t key = c.s / 2; key < c.s; ++key) {
+        mask.data()[static_cast<size_t>(bi * c.s + key)] = -10000.0f;
+      }
+    }
+    const ts::Tensor no_mask;
+    core::set_num_threads(1);
+    const auto want_plain = forward_backward(
+        m, xv, seed, [&](const ag::Variable& x) { return old.forward(x, no_mask); });
+    const auto want_masked = forward_backward(
+        m, xv, seed, [&](const ag::Variable& x) { return old.forward(x, mask); });
+    const auto want_causal = forward_backward(
+        m, xv, seed, [&](const ag::Variable& x) { return old.forward_causal(x); });
+    for_each_supported_isa([&](core::SimdIsa isa) {
+      IsaGuard isa_guard(isa);
+      for (int threads : {1, 2, 4}) {
+        core::set_num_threads(threads);
+        const std::string where = attention_where(c) + " " +
+                                  core::simd_isa_name(isa) +
+                                  " t=" + std::to_string(threads);
+        expect_same(forward_backward(m, xv, seed,
+                                     [&](const ag::Variable& x) {
+                                       return m.forward(x, no_mask);
+                                     }),
+                    want_plain, where + " forward");
+        expect_same(forward_backward(m, xv, seed,
+                                     [&](const ag::Variable& x) {
+                                       return m.forward(x, mask);
+                                     }),
+                    want_masked, where + " forward+mask");
+        expect_same(forward_backward(m, xv, seed,
+                                     [&](const ag::Variable& x) {
+                                       return m.forward_causal(x);
+                                     }),
+                    want_causal, where + " forward_causal");
+      }
+    });
+  }
+}
+
+// forward_cached over a prompt and then one position per step, reading the
+// cache store in place, against the oracle that copies the cached rows and
+// splits heads. Each step's output and gradients must match.
+TEST(AttentionFastPath, CachedDecodeMatchesSplitHeadOracle) {
+  ThreadGuard guard;
+  for (const AttentionCase& c : attention_cases()) {
+    ts::Generator gen(61);
+    const nn::MultiHeadAttention m(c.h, c.nh, gen);
+    const oracle::Attention old(m);
+    const ts::Tensor xv = gen.normal(ts::Shape{c.b, c.s, c.h});
+    const int64_t prompt = std::max<int64_t>(1, c.s / 2);
+    auto decode = [&](bool use_oracle) {
+      nn::KvCache cache(1, c.b, c.h, /*capacity=*/2);
+      std::vector<std::vector<ts::Tensor>> steps;
+      for (int64_t start = 0; start < c.s;) {
+        const int64_t n = start == 0 ? prompt : 1;
+        ts::Tensor xs{ts::Shape{c.b, n, c.h}};
+        for (int64_t bi = 0; bi < c.b; ++bi) {
+          std::copy_n(xv.data().data() + (bi * c.s + start) * c.h, n * c.h,
+                      xs.data().data() + bi * n * c.h);
+        }
+        const ts::Tensor seed = ts::add_scalar(xs, 0.5f);
+        cache.begin_step(n);
+        steps.push_back(forward_backward(m, xs, seed, [&](const ag::Variable& x) {
+          return use_oracle ? old.forward_cached(x, cache, 0)
+                            : m.forward_cached(x, cache, 0);
+        }));
+        cache.commit();
+        start += n;
+      }
+      return steps;
+    };
+    core::set_num_threads(1);
+    const auto want = decode(true);
+    for_each_supported_isa([&](core::SimdIsa isa) {
+      IsaGuard isa_guard(isa);
+      for (int threads : {1, 2, 4}) {
+        core::set_num_threads(threads);
+        const auto got = decode(false);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          expect_same(got[i], want[i],
+                      attention_where(c) + " " + core::simd_isa_name(isa) +
+                          " t=" + std::to_string(threads) + " step " +
+                          std::to_string(i));
+        }
+      }
+    });
+  }
 }

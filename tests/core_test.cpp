@@ -223,10 +223,11 @@ TEST(SimdDispatch, TierNamesAreStable) {
 TEST(SimdIdentity, MatmulBytesMatchScalarAcrossTiers) {
   ThreadGuard tguard;
   ts::Generator gen(41);
-  // 80^3 takes the packed path (above the gemm_simple flops threshold),
-  // 96x64x50 exercises ragged edge tiles, 8x8x8 the streaming kernel.
+  // 80^3, 96x64x50 (ragged edge tiles) and 8x8x8 run serially on unpacked
+  // operands, 120x70x90 splits rows over the pool with B read in place, and
+  // 100x300x260 packs B into panels.
   const std::vector<std::array<int64_t, 3>> shapes = {
-      {80, 80, 80}, {96, 64, 50}, {8, 8, 8}};
+      {80, 80, 80}, {96, 64, 50}, {8, 8, 8}, {120, 70, 90}, {100, 300, 260}};
   for (const auto& s : shapes) {
     const ts::Tensor a = gen.normal(ts::Shape{s[0], s[1]});
     const ts::Tensor b = gen.normal(ts::Shape{s[1], s[2]});

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <new>
 #include <random>
 #include <string>
@@ -515,6 +516,47 @@ TEST(FuzzRegression, TraceTokenCountWrittenAsADoubleIsRejected) {
   for (const char* literal : {"24.", "2.4e1", "24.5"}) {
     const Bytes m = bytes_of(trace_doc("1.5", literal));
     expect_rejected(m, 0, [](const Bytes& b) { load_trace_mutant(b); });
+  }
+}
+
+TEST(FuzzRegression, JsonNumbersOutsideTheRfc8259GrammarAreRejected) {
+  // The number branch ignored strtoll/strtod's end pointer: 12-3 parsed as
+  // the integer 12, and e5 or . as 0.0.
+  for (const char* bad :
+       {"12-3", "e5", ".", "-", "1.", ".5", "01", "1e", "+1", "--1"}) {
+    for (const std::string& doc :
+         {std::string(bad), "[" + std::string(bad) + "]",
+          "{\"x\": " + std::string(bad) + "}"}) {
+      std::string err;
+      const json::Value v = json::Value::parse(doc, &err);
+      EXPECT_FALSE(err.empty()) << doc << " parsed as " << v.dump();
+    }
+  }
+  std::string err;
+  EXPECT_EQ(json::Value::parse("[-12, 0, 7]", &err).at(0).as_int(), -12);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_EQ(json::Value::parse("-1.5e+2", &err).as_double(), -150.0);
+  EXPECT_TRUE(err.empty()) << err;
+}
+
+TEST(FuzzRegression, JsonNumbersTheDumperEmitsStillRoundTrip) {
+  // dump() writes doubles as the shortest %.*g that reads back exactly
+  // (exponents, -0 and subnormals included) and integers with %lld.
+  for (double d : {0.0, -0.0, 1.5, -2.25e-7, 1e300, -1e-300, 5e-324, 0.1,
+                   123456789012345.0, 1.7976931348623157e308, 3.0, -42.0}) {
+    std::string err;
+    const json::Value back = json::Value::parse(json::Value(d).dump(), &err);
+    EXPECT_TRUE(err.empty()) << d << ": " << err;
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.as_double()), std::bit_cast<uint64_t>(d))
+        << json::Value(d).dump();
+  }
+  for (int64_t i : {int64_t{0}, int64_t{-1}, int64_t{96},
+                    std::numeric_limits<int64_t>::max(),
+                    std::numeric_limits<int64_t>::min()}) {
+    std::string err;
+    const json::Value back = json::Value::parse(json::Value(i).dump(), &err);
+    EXPECT_TRUE(err.empty()) << i << ": " << err;
+    EXPECT_EQ(back.as_int(), i);
   }
 }
 
