@@ -71,7 +71,8 @@ tsan() {
     -DACTCOMP_WERROR=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" \
-    --target core_test tensor_test gemm_test compress_test codec_fastpath_test \
+    --target core_test tensor_test gemm_test kernel_table_test compress_test \
+             codec_fastpath_test \
              fuzz_test obs_test autograd_test autograd_fastpath_test \
              checkpoint_test recovery_test topology_test \
              kv_cache_test serving_test serving_resilience_test \
