@@ -1,8 +1,9 @@
 // Machine-readable kernel benchmark: times the parallel compute core
-// (GEMM, transposed-operand GEMM, compressor encode/decode, one attention
-// layer and the fine-tune step's backward ops, one end-to-end fine-tune
-// step) across thread counts. Output is a canonical RunReport document
-// (actcomp.run_report.v1, see obs/report.h): each measurement is one entry
+// (GEMM, transposed-operand GEMM, the shared vector kernels per SIMD tier,
+// compressor encode/decode, one attention layer and the fine-tune step's
+// backward ops, one end-to-end fine-tune step) across thread counts. Output
+// is a canonical RunReport document (actcomp.run_report.v1, see
+// obs/report.h): each measurement is one entry
 // of the "records" array carrying {op, shape, threads, ns_op, gb_s} plus
 // op-specific extras (gflops, speedup_vs_seed). The checked-in baseline
 // lives at bench/baselines/BENCH_kernels.json; README's Performance table
@@ -16,6 +17,7 @@
 //
 // --quick trims the shape sweep to a few-second run for CI (ci.sh bench);
 // the full sweep is what baselines are regenerated from.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +37,7 @@
 #include "nn/attention.h"
 #include "nn/bert.h"
 #include "obs/report.h"
+#include "tensor/kernels/kernel_table.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "train/optimizer.h"
@@ -44,6 +47,7 @@ namespace ag = actcomp::autograd;
 namespace nn = actcomp::nn;
 namespace cp = actcomp::compress;
 namespace core = actcomp::core;
+namespace kn = actcomp::tensor::kernels;
 namespace obs = actcomp::obs;
 
 namespace {
@@ -76,6 +80,19 @@ double best_of(int reps, Fn&& fn) {
     if (dt < best) best = dt;
   }
   return best;
+}
+
+// Median wall time of `reps` calls of fn(), in seconds.
+template <typename Fn>
+double median_of(int reps, Fn&& fn) {
+  std::vector<double> dt(static_cast<size_t>(reps));
+  for (double& d : dt) {
+    const auto t0 = Clock::now();
+    fn();
+    d = std::chrono::duration<double>(Clock::now() - t0).count();
+  }
+  std::sort(dt.begin(), dt.end());
+  return dt[dt.size() / 2];
 }
 
 int g_emitted = 0;
@@ -167,6 +184,69 @@ void bench_matmul_tiers(int64_t m, int64_t k, int64_t n) {
   }
   core::set_simd_isa(restore);
   core::set_num_threads(1);
+}
+
+// One record per SIMD tier the host supports for each vector kernel the
+// tiers share (tensor/kernels/vector_kernels.h), called straight through
+// kernels_for_tier at t=1 so the record times the kernel alone: the bias /
+// residual broadcast add and layernorm at the finetune_step model's
+// activation shape, the fp16 round trip (A1/Q1) and the quantizer's row
+// pack (Q1-Q3, 16 levels) at the compressor records' shape, and the
+// softmax row max over its attention score rows. Op names carry the tier
+// ("ew_add_avx2"), like matmul2d_<tier>.
+void bench_kernel_tiers() {
+  ts::Generator gen(21);
+  const ts::Tensor act = gen.normal(ts::Shape{512, 128});
+  const ts::Tensor bias = gen.normal(ts::Shape{128});
+  const ts::Tensor wide = gen.normal(ts::Shape{64, 16384});
+  const ts::Tensor scores = gen.normal(ts::Shape{2048, 64});
+  const float* a = act.data().data();
+  const float* w = wide.data().data();
+  const float* sc = scores.data().data();
+  const int64_t n_act = act.numel(), n_wide = wide.numel();
+  std::vector<float> out(static_cast<size_t>(n_wide));
+  std::vector<float> mean(512), rstd(512), lo(64), scale(64);
+  std::vector<uint8_t> q(static_cast<size_t>(n_wide));
+  const auto& ref = kn::kernels_for_tier(0);
+  for (int64_t r = 0; r < 64; ++r) {
+    float hi = 0.0f;
+    ref.row_minmax(w + r * 16384, 16384, &lo[r], &hi);
+    scale[r] = (hi - lo[r]) / 15.0f;
+  }
+  volatile float sink = 0.0f;
+  for (int t = 0; t <= static_cast<int>(core::detected_simd_isa()); ++t) {
+    const kn::KernelTable& k = kn::kernels_for_tier(t);
+    const std::string tier = core::simd_isa_name(static_cast<core::SimdIsa>(t));
+    const auto record = [&](const char* op, const char* shape, double bytes,
+                            double sec) {
+      const std::string name = std::string(op) + "_" + tier;
+      emit(name, shape, 1, sec * 1e9, bytes / sec / 1e9);
+      std::printf("%-26s %-14s t=1  %8.1f us  %6.2f GB/s\n", name.c_str(),
+                  shape, sec * 1e6, bytes / sec / 1e9);
+    };
+    record("ew_add", "512x128+128", 8.0 * n_act, best_of(50, [&] {
+             k.ew_add(a, bias.data().data(), out.data(), 0, n_act, 128);
+           }));
+    record("layernorm", "512x128", 8.0 * n_act, best_of(50, [&] {
+             k.rows_moments(a, 0, 512, 128, 1e-5f, mean.data(), rstd.data());
+             k.ln_xhat(a, mean.data(), rstd.data(), out.data(), 0, 512, 128);
+           }));
+    record("fp16_round_trip", "64x16384", 8.0 * n_wide, best_of(20, [&] {
+             k.fp16_round_trip(w, out.data(), n_wide);
+           }));
+    record("quant_quantize_row", "64x16384", 5.0 * n_wide, best_of(20, [&] {
+             for (int64_t r = 0; r < 64; ++r) {
+               k.quant_quantize_row(w + r * 16384, 16384, lo[r], scale[r], 16,
+                                    q.data() + r * 16384);
+             }
+           }));
+    record("row_max", "2048x64", 4.0 * scores.numel(), best_of(50, [&] {
+             float m = 0.0f;
+             for (int64_t r = 0; r < 2048; ++r) m += k.row_max(sc + r * 64, 64);
+             sink = m;
+           }));
+  }
+  (void)sink;
 }
 
 // Transposed-operand GEMMs at the Linear-backward shapes: matmul_nt is the
@@ -376,7 +456,10 @@ void bench_finetune_step() {
       opt.step();
     };
     step();  // warm-up (allocations, first-touch)
-    const double t = best_of(3, step);
+    step();
+    // The median of 15 steps: a best-of-3 spread ~30% run to run on a
+    // shared host.
+    const double t = median_of(15, step);
     emit("finetune_step", shape, threads, t * 1e9, 0.0);
     std::printf("finetune_step %-18s t=%d  %8.1f ms/step\n", shape, threads,
                 t * 1e3);
@@ -408,6 +491,9 @@ int main(int argc, char** argv) {
   bench_matmul(512, 512, 512, /*run_seed=*/true);
   std::printf("\n");
   bench_matmul_tiers(512, 512, 512);
+  std::printf("\n");
+  bench_kernel_tiers();
+  std::printf("\n");
   if (!quick) {
     bench_matmul(768, 768, 768, /*run_seed=*/true);
     for (int64_t hidden : {768, 1024, 2048, 4096, 8192}) {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point. Five jobs:
+# CI entry point. Six jobs:
 #   ./ci.sh verify    — tier-1: configure, build, run the full test suite
 #   ./ci.sh sanitize  — ASan+UBSan build of src/ + tests, warnings-as-errors
 #   ./ci.sh tsan      — TSan build; runs the parallel-runtime test slice
+#   ./ci.sh tiers     — builds without the AVX-512, then the AVX2 kernel
+#                       tier; runs the SIMD and tensor/ suites on each
 #   ./ci.sh docs      — markdown links resolve; EXPERIMENTS.md covers every
 #                       bench binary and names no binary that doesn't build
 #   ./ci.sh bench     — kernels_bench --quick through the RunReport schema,
@@ -106,6 +108,24 @@ tsan() {
       --no-tests=error --output-on-failure -j "$jobs"
 }
 
+# A toolchain that cannot build a kernel tier compiles that tier's TU to
+# its nullptr stub, and dispatch.cpp aliases the tier to the widest
+# narrower one (DESIGN.md §15). Forcing the cached flag checks OFF builds
+# exactly that tree, once without AVX-512 and once without AVX2 (which
+# drops AVX-512 too); the SIMD identity and tensor/ suites must pass on
+# what is left.
+tiers() {
+  local flag dir
+  for flag in ACTCOMP_HAS_MAVX512F ACTCOMP_HAS_MAVX2; do
+    dir="build-no-${flag#ACTCOMP_HAS_M}"
+    cmake -B "$dir" -S . "-D${flag}=OFF"
+    cmake --build "$dir" -j "$jobs" \
+      --target core_test gemm_test kernel_table_test
+    ctest --test-dir "$dir" -R 'Simd|tensor/' \
+      --no-tests=error --output-on-failure -j "$jobs"
+  done
+}
+
 docs() {
   python3 tools/check_docs.py
 }
@@ -147,17 +167,19 @@ case "${1:-all}" in
   verify) verify ;;
   sanitize) sanitize ;;
   tsan) tsan ;;
+  tiers) tiers ;;
   docs) docs ;;
   bench) bench ;;
   all)
     verify
     sanitize
     tsan
+    tiers
     docs
     bench
     ;;
   *)
-    echo "usage: $0 [verify|sanitize|tsan|docs|bench|all]" >&2
+    echo "usage: $0 [verify|sanitize|tsan|tiers|docs|bench|all]" >&2
     exit 2
     ;;
 esac

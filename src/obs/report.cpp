@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -21,6 +23,29 @@ RunReport* g_current = nullptr;
 
 const char* accounting_label(Accounting a) {
   return a == Accounting::kFinetune ? "finetune" : "pretrain";
+}
+
+// The first "model name" of /proc/cpuinfo; "" off Linux or when unreadable.
+std::string cpu_model() {
+#ifdef __linux__
+  if (FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    std::string model;
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      if (const char* colon = std::strchr(line, ':')) {
+        model = colon + 1;
+        const size_t b = model.find_first_not_of(" \t");
+        const size_t e = model.find_last_not_of(" \t\r\n");
+        model = b == std::string::npos ? "" : model.substr(b, e - b + 1);
+      }
+      break;
+    }
+    std::fclose(f);
+    return model;
+  }
+#endif
+  return "";
 }
 
 }  // namespace
@@ -93,6 +118,7 @@ json::Value RunReport::to_json() const {
   hw.set("simd_isa", core::simd_isa_name(core::simd_isa()));
   hw.set("simd_detected", core::simd_isa_name(core::detected_simd_isa()));
   hw.set("simd_override", core::simd_override());
+  hw.set("cpu_model", cpu_model());
   root.set("hardware", std::move(hw));
   if (config_.size() > 0) root.set("config", config_);
   if (phases_.size() > 0) root.set("phases", phases_);

@@ -12,7 +12,7 @@
 //     "schema": "actcomp.run_report.v1",
 //     "binary": "table4_breakdown_finetune",
 //     "git_rev": "<short rev or unknown>",
-//     "hardware": {"hw_concurrency": N},
+//     "hardware": {"hw_concurrency": N, "simd_isa": ..., "cpu_model": ...},
 //     "config":   {...},        // bench-specific knobs incl. "seed"
 //     "phases":   [{"label": ..., "accounting": ..., <PhaseBreakdown>}],
 //     "tables":   [{"header": [...], "rows": [[...]]}],

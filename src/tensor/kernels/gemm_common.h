@@ -13,6 +13,8 @@
 //   static V load(const float*, Mask);          // dead lanes read as 0 and
 //   static void store(float*, V, Mask);         // are never touched
 //   static V add(V, V);  static V mul(V, V);    // no FMA
+// (vector_kernels.h lists what the AVX tiers' policies add for the rest of
+// the table.)
 //
 // Everything else is ISA-independent and lives here: one register tile
 // kernel, fed either straight from the operands (small and mid-size B) or

@@ -7,6 +7,14 @@
 // flags (never -march=native), so one binary carries every tier and picks
 // at runtime — release builds no longer depend on the build host's ISA.
 //
+// Each tier spells its intrinsics once, in a vector policy, and each
+// vector kernel is written once as a template over it: the GEMM in
+// gemm_common.h, everything else in vector_kernels.h, whose make_table<P>()
+// builds a tier's table. A tier's table hook then swaps in the few entries
+// that differ by tier: the AVX2 quantizer (also used by AVX-512), the
+// AVX-512 lane-per-row rows_moments and its 256-bit row scans, and the
+// scalar tier's generic:: loops (kernels_generic.h, the reference).
+//
 // Identity contract: for finite inputs, every entry produces bytes
 // identical to the scalar tier. The mechanics:
 //   * No FMA anywhere (all kernel TUs are -ffp-contract=off, and the SIMD

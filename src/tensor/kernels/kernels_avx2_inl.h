@@ -1,57 +1,32 @@
-// 256-bit AVX2 + F16C kernel implementations, shared by the avx2 and avx512
-// translation units (the AVX-512 tier reuses these where 512-bit lanes buy
-// nothing, e.g. the byte-packing quantizer).
+// The AVX2 + F16C vector policy and the 256-bit quantizer, shared by the
+// avx2 and avx512 translation units: the AVX-512 tier runs the row scans
+// and the quantizer's byte packing at this width, where 512-bit lanes buy
+// nothing (see its table hook).
 //
-// Only include from a TU compiled with -mavx2 -mf16c (or wider). Everything
-// here is `static` (or a static function template, or a type in an anonymous
-// namespace): these functions exist in TUs compiled under *different* -m
-// flag sets, and a COMDAT-deduplicated copy encoded with AVX-512 must never
-// be linked into a narrower tier — it would SIGILL on an AVX2-only host.
-//
-// Identity rules applied throughout (see kernel_table.h):
-//   * mul-then-add spelled explicitly, no FMA intrinsics;
-//   * remainders use the exact scalar expression (IEEE add/sub/mul/div/sqrt
-//     are per-element, so lane width never changes bytes);
-//   * semantic gaps (NaN payloads through F16C, ±0 ties through
-//     min/max_ps, non-finite quantizer inputs) are detected per block and
-//     routed to the generic scalar code.
+// Only include from a TU compiled with -mavx2 -mf16c (or wider). The
+// policy lives in an anonymous namespace and the quantizer is `static`:
+// these exist in TUs compiled under *different* -m flag sets, and a
+// COMDAT-deduplicated copy encoded with AVX-512 must never be linked into
+// a narrower tier — it would SIGILL on an AVX2-only host.
 #pragma once
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 
-#include "tensor/fp16.h"
-#include "tensor/kernels/gemm_common.h"
 #include "tensor/kernels/kernels_generic.h"
 
 namespace actcomp::tensor::kernels::avx2i {
 
 namespace {  // internal types: keep template instantiations TU-local
 
-struct AddOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_add_ps(x, y); }
-  static float s(float x, float y) { return x + y; }
-};
-struct SubOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_sub_ps(x, y); }
-  static float s(float x, float y) { return x - y; }
-};
-struct MulOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_mul_ps(x, y); }
-  static float s(float x, float y) { return x * y; }
-};
-struct DivOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_div_ps(x, y); }
-  static float s(float x, float y) { return x / y; }
-};
-
-// 5x16 register tile on ymm registers: 10 accumulators + 2 B columns + 1
-// broadcast stay inside the 16-register file.
-struct Avx2GemmPolicy {
+// 5x16 GEMM register tile on ymm registers: 10 accumulators + 2 B columns
+// + 1 broadcast stay inside the 16-register file. The primitives are the
+// ones gemm_common.h and vector_kernels.h list.
+struct Avx2Policy {
   using V = __m256;
   using Mask = __m256i;  // all-ones in each live lane
+  using H = __m128i;     // 8 fp16 values
   static constexpr int kVW = 8;
   static constexpr int kMR = 5;
   static constexpr int kNV = 2;
@@ -67,301 +42,40 @@ struct Avx2GemmPolicy {
   static V load(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
   static void store(float* p, V v, Mask m) { _mm256_maskstore_ps(p, m, v); }
   static V add(V x, V y) { return _mm256_add_ps(x, y); }
+  static V sub(V x, V y) { return _mm256_sub_ps(x, y); }
   static V mul(V x, V y) { return _mm256_mul_ps(x, y); }
+  static V div(V x, V y) { return _mm256_div_ps(x, y); }
+  static V sqrt(V x) { return _mm256_sqrt_ps(x); }
+  static V max(V x, V y) { return _mm256_max_ps(x, y); }
+  static V min(V x, V y) { return _mm256_min_ps(x, y); }
+  static V neg(V x) { return _mm256_xor_ps(x, _mm256_set1_ps(-0.0f)); }
+  static V abs(V x) { return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x); }
+  static Mask nan_lanes(V x) {
+    return _mm256_castps_si256(_mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+  }
+  static bool any(Mask m) {
+    return _mm256_movemask_ps(_mm256_castsi256_ps(m)) != 0;
+  }
+  static H load_h(const uint16_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  }
+  static void store_h(uint16_t* p, H h) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), h);
+  }
+  static H to_half(V x) {
+    return _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT);
+  }
+  static V from_half(H h) { return _mm256_cvtph_ps(h); }
+  // An fp16 NaN has (bits & 0x7FFF) > 0x7C00; masked values are <= 0x7FFF,
+  // so the signed 16-bit compare is safe.
+  static bool any_nan_h(H h) {
+    const __m128i mag = _mm_and_si128(h, _mm_set1_epi16(0x7FFF));
+    return _mm_movemask_epi8(_mm_cmpgt_epi16(mag, _mm_set1_epi16(0x7C00))) !=
+           0;
+  }
 };
 
 }  // namespace
-
-// ---- elementwise ----
-
-template <class Op>
-static inline void ew_binary_v(const float* a, const float* b, float* out,
-                               int64_t lo, int64_t hi, int64_t nb) {
-  if (hi <= nb) {  // same-shape fast path: i % nb == i on this chunk
-    int64_t i = lo;
-    for (; i + 8 <= hi; i += 8) {
-      _mm256_storeu_ps(
-          out + i, Op::v(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-    }
-    for (; i < hi; ++i) out[i] = Op::s(a[i], b[i]);
-    return;
-  }
-  // Broadcast: split [lo, hi) at multiples of nb; within a segment the b
-  // index boff + (j - i) is contiguous, so plain vector loads apply.
-  int64_t i = lo;
-  while (i < hi) {
-    const int64_t boff = i % nb;
-    const int64_t seg = std::min(hi, i + (nb - boff));
-    int64_t j = i;
-    for (; j + 8 <= seg; j += 8) {
-      _mm256_storeu_ps(out + j, Op::v(_mm256_loadu_ps(a + j),
-                                      _mm256_loadu_ps(b + boff + (j - i))));
-    }
-    for (; j < seg; ++j) out[j] = Op::s(a[j], b[boff + (j - i)]);
-    i = seg;
-  }
-}
-
-static inline void ew_add(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<AddOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_sub(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<SubOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_mul(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<MulOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_div(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<DivOp>(a, b, out, lo, hi, nb);
-}
-
-template <class Op>
-static inline void ew_scalar_v(const float* a, float s, float* out, int64_t lo,
-                               int64_t hi) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, Op::v(_mm256_loadu_ps(a + i), vs));
-  }
-  for (; i < hi; ++i) out[i] = Op::s(a[i], s);
-}
-
-static inline void ew_add_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<AddOp>(a, s, out, lo, hi);
-}
-static inline void ew_mul_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<MulOp>(a, s, out, lo, hi);
-}
-static inline void ew_sub_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<SubOp>(a, s, out, lo, hi);
-}
-
-static inline void ew_neg(const float* a, float* out, int64_t lo, int64_t hi) {
-  // -x flips the sign bit for every input (NaN included); xor matches.
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_xor_ps(_mm256_loadu_ps(a + i), sign));
-  }
-  for (; i < hi; ++i) out[i] = -a[i];
-}
-
-static inline void ew_abs(const float* a, float* out, int64_t lo, int64_t hi) {
-  // fabs clears the sign bit for every input (NaN included); andnot matches.
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_andnot_ps(sign, _mm256_loadu_ps(a + i)));
-  }
-  for (; i < hi; ++i) out[i] = std::fabs(a[i]);
-}
-
-static inline void ew_sqrt(const float* a, float* out, int64_t lo, int64_t hi) {
-  // sqrtps is IEEE correctly rounded, same as sqrtss behind std::sqrt.
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_sqrt_ps(_mm256_loadu_ps(a + i)));
-  }
-  for (; i < hi; ++i) out[i] = std::sqrt(a[i]);
-}
-
-static inline void ew_relu(const float* a, float* out, int64_t lo, int64_t hi) {
-  // max_ps(x, +0) returns the second operand on ties and NaN, which is
-  // exactly `x > 0 ? x : 0` for ±0 and NaN alike — no fallback needed.
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
-  }
-  for (; i < hi; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-static inline void ew_scale(float* x, float s, int64_t lo, int64_t hi) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
-  }
-  for (; i < hi; ++i) x[i] *= s;
-}
-
-static inline void ew_bias_relu(const float* x, const float* b, float* pre,
-                                float* out, int64_t lo, int64_t hi,
-                                int64_t nb) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = lo;
-  while (i < hi) {
-    const int64_t boff = i % nb;
-    const int64_t seg = std::min(hi, i + (nb - boff));
-    int64_t j = i;
-    for (; j + 8 <= seg; j += 8) {
-      const __m256 p = _mm256_add_ps(_mm256_loadu_ps(x + j),
-                                     _mm256_loadu_ps(b + boff + (j - i)));
-      _mm256_storeu_ps(pre + j, p);
-      _mm256_storeu_ps(out + j, _mm256_max_ps(p, zero));
-    }
-    for (; j < seg; ++j) {
-      const float p = x[j] + b[boff + (j - i)];
-      pre[j] = p;
-      out[j] = p > 0.0f ? p : 0.0f;
-    }
-    i = seg;
-  }
-}
-
-// ---- row reductions ----
-//
-// Scalar max/min keep the FIRST operand on ties and skip NaN inputs
-// entirely (std::max(m, x) takes x only when m < x). max_ps/min_ps return
-// the SECOND operand on ties and propagate a NaN second operand. Equal
-// floats are bit-identical except ±0, so the vector scan diverges only when
-// (a) any scanned lane was NaN, or (b) the winning value is a zero. Both
-// are detected and rescanned with the generic code.
-
-static inline float row_max(const float* x, int64_t n) {
-  if (n < 16) return generic::row_max(x, n);
-  __m256 acc = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
-  __m256 nanm = _mm256_setzero_ps();
-  int64_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m256 v = _mm256_loadu_ps(x + c);
-    nanm = _mm256_or_ps(nanm, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    acc = _mm256_max_ps(acc, v);
-  }
-  if (_mm256_movemask_ps(nanm) != 0) return generic::row_max(x, n);
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  float m = lanes[0];
-  for (int i = 1; i < 8; ++i) m = std::max(m, lanes[i]);
-  for (; c < n; ++c) m = std::max(m, x[c]);  // std::max skips tail NaNs too
-  if (m == 0.0f) return generic::row_max(x, n);  // ±0 tie: first-wins rescan
-  return m;
-}
-
-static inline void row_minmax(const float* x, int64_t n, float* lo_out,
-                              float* hi_out) {
-  if (n < 16) {
-    generic::row_minmax(x, n, lo_out, hi_out);
-    return;
-  }
-  __m256 vlo = _mm256_loadu_ps(x);
-  __m256 vhi = vlo;
-  __m256 nanm = _mm256_cmp_ps(vlo, vlo, _CMP_UNORD_Q);
-  int64_t c = 8;
-  for (; c + 8 <= n; c += 8) {
-    const __m256 v = _mm256_loadu_ps(x + c);
-    nanm = _mm256_or_ps(nanm, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    vlo = _mm256_min_ps(vlo, v);
-    vhi = _mm256_max_ps(vhi, v);
-  }
-  if (_mm256_movemask_ps(nanm) != 0) {
-    generic::row_minmax(x, n, lo_out, hi_out);
-    return;
-  }
-  alignas(32) float llo[8], lhi[8];
-  _mm256_store_ps(llo, vlo);
-  _mm256_store_ps(lhi, vhi);
-  float lo = llo[0], hi = lhi[0];
-  for (int i = 1; i < 8; ++i) {
-    lo = std::min(lo, llo[i]);
-    hi = std::max(hi, lhi[i]);
-  }
-  for (; c < n; ++c) {
-    lo = std::min(lo, x[c]);
-    hi = std::max(hi, x[c]);
-  }
-  if (lo == 0.0f || hi == 0.0f) {  // ±0 tie: rescan with first-wins order
-    generic::row_minmax(x, n, lo_out, hi_out);
-    return;
-  }
-  *lo_out = lo;
-  *hi_out = hi;
-}
-
-static inline void ln_xhat(const float* x, const float* mean,
-                           const float* rstd, float* out, int64_t r0,
-                           int64_t r1, int64_t cols) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const __m256 vm = _mm256_set1_ps(mean[r]);
-    const __m256 vrs = _mm256_set1_ps(rstd[r]);
-    const float* row = x + r * cols;
-    float* orow = out + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      _mm256_storeu_ps(
-          orow + c,
-          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(row + c), vm), vrs));
-    }
-    const float m = mean[r];
-    const float rs = rstd[r];
-    for (; c < cols; ++c) orow[c] = (row[c] - m) * rs;
-  }
-}
-
-// ---- fp16 via F16C ----
-//
-// vcvtps2ph (RNE) and vcvtph2ps agree with the software converter for every
-// non-NaN input, including overflow-to-inf and subnormals (default MXCSR).
-// NaNs diverge (the hardware preserves payload bits; the software converter
-// emits a canonical quiet NaN), so any block containing a NaN lane is
-// converted by the generic code instead.
-
-static inline void fp16_encode(const float* in, uint16_t* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(in + i);
-    if (_mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q)) != 0) {
-      generic::fp16_encode(in + i, out + i, 8);
-      continue;
-    }
-    const __m128i h = _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), h);
-  }
-  if (i < n) generic::fp16_encode(in + i, out + i, n - i);
-}
-
-static inline void fp16_decode(const uint16_t* in, float* out, int64_t n) {
-  // An fp16 NaN has (bits & 0x7FFF) > 0x7C00; masked values are <= 0x7FFF,
-  // so the signed 16-bit compare is safe.
-  const __m128i expmask = _mm_set1_epi16(0x7FFF);
-  const __m128i inf16 = _mm_set1_epi16(0x7C00);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i h =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    const __m128i isnan =
-        _mm_cmpgt_epi16(_mm_and_si128(h, expmask), inf16);
-    if (_mm_movemask_epi8(isnan) != 0) {
-      generic::fp16_decode(in + i, out + i, 8);
-      continue;
-    }
-    _mm256_storeu_ps(out + i, _mm256_cvtph_ps(h));
-  }
-  if (i < n) generic::fp16_decode(in + i, out + i, n - i);
-}
-
-static inline void fp16_round_trip(const float* in, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(in + i);
-    if (_mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q)) != 0) {
-      generic::fp16_round_trip(in + i, out + i, 8);
-      continue;
-    }
-    // Encoding a non-NaN never yields NaN bits (inf stays 0x7C00), so the
-    // decode side needs no second check.
-    const __m128i h = _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT);
-    _mm256_storeu_ps(out + i, _mm256_cvtph_ps(h));
-  }
-  if (i < n) generic::fp16_round_trip(in + i, out + i, n - i);
-}
 
 // ---- quantization ----
 //
@@ -427,14 +141,6 @@ static inline void quant_dequantize_row(const uint8_t* q, int64_t cols,
   }
   if (c < cols) generic::quant_dequantize_row(q + c, cols - c, lo, scale,
                                               out + c);
-}
-
-// ---- GEMM ----
-
-static inline void gemm(const float* a, int64_t a_rs, int64_t a_cs,
-                        const float* b, int64_t b_rs, int64_t b_cs, float* c,
-                        int64_t ldc, int64_t m, int64_t k, int64_t n) {
-  gemm_t<Avx2GemmPolicy>(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, m, k, n);
 }
 
 }  // namespace actcomp::tensor::kernels::avx2i

@@ -1,46 +1,33 @@
 // AVX-512 kernel tier. Compiled with -mavx512f -mavx2 -mf16c -O3
 // -ffp-contract=off; selected at runtime only when cpuid reports AVX-512F
-// (core/simd.cpp). Foundation instructions only — no BW/DQ/VL — so the
-// 16-bit lane work (fp16 NaN screening, quantizer byte packing) stays on
-// the 128/256-bit units via the shared avx2 implementations, which this TU
-// compiles as its own internal copies.
+// (core/simd.cpp). Foundation instructions only — no BW/DQ/VL — so 16-bit
+// lane work (the fp16 NaN screen) stays on 256-bit AVX2 instructions, and
+// the table hook keeps the row scans and the quantizer's byte packing at
+// the AVX2 policy's width (kernels_avx2_inl.h), compiled here as this TU's
+// own copies.
 #include "tensor/kernels/tiers.h"
 
 #if defined(__AVX512F__) && defined(__AVX2__) && defined(__F16C__)
 
 #include <immintrin.h>
 
-#include "tensor/kernels/gemm_common.h"
+#include <cstdint>
+
 #include "tensor/kernels/kernels_avx2_inl.h"
-#include "tensor/kernels/kernels_generic.h"
+#include "tensor/kernels/vector_kernels.h"
 
 namespace actcomp::tensor::kernels {
 namespace avx512i {
 
 namespace {  // internal types: keep template instantiations TU-local
 
-struct AddOp {
-  static __m512 v(__m512 x, __m512 y) { return _mm512_add_ps(x, y); }
-  static float s(float x, float y) { return x + y; }
-};
-struct SubOp {
-  static __m512 v(__m512 x, __m512 y) { return _mm512_sub_ps(x, y); }
-  static float s(float x, float y) { return x - y; }
-};
-struct MulOp {
-  static __m512 v(__m512 x, __m512 y) { return _mm512_mul_ps(x, y); }
-  static float s(float x, float y) { return x * y; }
-};
-struct DivOp {
-  static __m512 v(__m512 x, __m512 y) { return _mm512_div_ps(x, y); }
-  static float s(float x, float y) { return x / y; }
-};
-
-// 8x32 register tile: 16 zmm accumulators + 2 B columns + 1 broadcast =
-// 19 of the 32 zmm registers.
-struct Avx512GemmPolicy {
+// 8x32 GEMM register tile: 16 zmm accumulators + 2 B columns + 1
+// broadcast = 19 of the 32 zmm registers. The primitives are the ones
+// gemm_common.h and vector_kernels.h list.
+struct Avx512Policy {
   using V = __m512;
   using Mask = __mmask16;
+  using H = __m256i;  // 16 fp16 values
   static constexpr int kVW = 16;
   static constexpr int kMR = 8;
   static constexpr int kNV = 2;
@@ -55,153 +42,42 @@ struct Avx512GemmPolicy {
   static V load(const float* p, Mask m) { return _mm512_maskz_loadu_ps(m, p); }
   static void store(float* p, V v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
   static V add(V x, V y) { return _mm512_add_ps(x, y); }
+  static V sub(V x, V y) { return _mm512_sub_ps(x, y); }
   static V mul(V x, V y) { return _mm512_mul_ps(x, y); }
+  static V div(V x, V y) { return _mm512_div_ps(x, y); }
+  static V sqrt(V x) { return _mm512_sqrt_ps(x); }
+  static V max(V x, V y) { return _mm512_max_ps(x, y); }
+  static V min(V x, V y) { return _mm512_min_ps(x, y); }
+  // Bitwise float ops need AVX-512DQ; the integer forms are Foundation.
+  static V neg(V x) {
+    return _mm512_castsi512_ps(_mm512_xor_epi32(
+        _mm512_castps_si512(x), _mm512_set1_epi32(INT32_MIN)));
+  }
+  static V abs(V x) {
+    return _mm512_castsi512_ps(_mm512_and_epi32(
+        _mm512_castps_si512(x), _mm512_set1_epi32(INT32_MAX)));
+  }
+  static Mask nan_lanes(V x) { return _mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q); }
+  static bool any(Mask m) { return m != 0; }
+  static H load_h(const uint16_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store_h(uint16_t* p, H h) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), h);
+  }
+  static H to_half(V x) {
+    return _mm512_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT);
+  }
+  static V from_half(H h) { return _mm512_cvtph_ps(h); }
+  // As in the AVX2 policy, on 256-bit AVX2 compares (16-bit lanes need BW).
+  static bool any_nan_h(H h) {
+    const __m256i mag = _mm256_and_si256(h, _mm256_set1_epi16(0x7FFF));
+    return _mm256_movemask_epi8(
+               _mm256_cmpgt_epi16(mag, _mm256_set1_epi16(0x7C00))) != 0;
+  }
 };
 
 }  // namespace
-
-// ---- elementwise ----
-
-template <class Op>
-static inline void ew_binary_v(const float* a, const float* b, float* out,
-                               int64_t lo, int64_t hi, int64_t nb) {
-  if (hi <= nb) {
-    int64_t i = lo;
-    for (; i + 16 <= hi; i += 16) {
-      _mm512_storeu_ps(
-          out + i, Op::v(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i)));
-    }
-    for (; i < hi; ++i) out[i] = Op::s(a[i], b[i]);
-    return;
-  }
-  int64_t i = lo;
-  while (i < hi) {
-    const int64_t boff = i % nb;
-    const int64_t seg = std::min(hi, i + (nb - boff));
-    int64_t j = i;
-    for (; j + 16 <= seg; j += 16) {
-      _mm512_storeu_ps(out + j, Op::v(_mm512_loadu_ps(a + j),
-                                      _mm512_loadu_ps(b + boff + (j - i))));
-    }
-    for (; j < seg; ++j) out[j] = Op::s(a[j], b[boff + (j - i)]);
-    i = seg;
-  }
-}
-
-static inline void ew_add(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<AddOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_sub(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<SubOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_mul(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<MulOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_div(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<DivOp>(a, b, out, lo, hi, nb);
-}
-
-template <class Op>
-static inline void ew_scalar_v(const float* a, float s, float* out, int64_t lo,
-                               int64_t hi) {
-  const __m512 vs = _mm512_set1_ps(s);
-  int64_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    _mm512_storeu_ps(out + i, Op::v(_mm512_loadu_ps(a + i), vs));
-  }
-  for (; i < hi; ++i) out[i] = Op::s(a[i], s);
-}
-
-static inline void ew_add_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<AddOp>(a, s, out, lo, hi);
-}
-static inline void ew_mul_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<MulOp>(a, s, out, lo, hi);
-}
-static inline void ew_sub_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<SubOp>(a, s, out, lo, hi);
-}
-
-static inline void ew_neg(const float* a, float* out, int64_t lo, int64_t hi) {
-  const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000u));
-  int64_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    _mm512_storeu_ps(out + i,
-                     _mm512_castsi512_ps(_mm512_xor_epi32(
-                         _mm512_castps_si512(_mm512_loadu_ps(a + i)), sign)));
-  }
-  for (; i < hi; ++i) out[i] = -a[i];
-}
-
-static inline void ew_abs(const float* a, float* out, int64_t lo, int64_t hi) {
-  const __m512i mag = _mm512_set1_epi32(0x7FFFFFFF);
-  int64_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    _mm512_storeu_ps(out + i,
-                     _mm512_castsi512_ps(_mm512_and_epi32(
-                         _mm512_castps_si512(_mm512_loadu_ps(a + i)), mag)));
-  }
-  for (; i < hi; ++i) out[i] = std::fabs(a[i]);
-}
-
-static inline void ew_sqrt(const float* a, float* out, int64_t lo, int64_t hi) {
-  int64_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    _mm512_storeu_ps(out + i, _mm512_sqrt_ps(_mm512_loadu_ps(a + i)));
-  }
-  for (; i < hi; ++i) out[i] = std::sqrt(a[i]);
-}
-
-static inline void ew_relu(const float* a, float* out, int64_t lo, int64_t hi) {
-  const __m512 zero = _mm512_setzero_ps();
-  int64_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    _mm512_storeu_ps(out + i, _mm512_max_ps(_mm512_loadu_ps(a + i), zero));
-  }
-  for (; i < hi; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-static inline void ew_scale(float* x, float s, int64_t lo, int64_t hi) {
-  const __m512 vs = _mm512_set1_ps(s);
-  int64_t i = lo;
-  for (; i + 16 <= hi; i += 16) {
-    _mm512_storeu_ps(x + i, _mm512_mul_ps(_mm512_loadu_ps(x + i), vs));
-  }
-  for (; i < hi; ++i) x[i] *= s;
-}
-
-static inline void ew_bias_relu(const float* x, const float* b, float* pre,
-                                float* out, int64_t lo, int64_t hi,
-                                int64_t nb) {
-  const __m512 zero = _mm512_setzero_ps();
-  int64_t i = lo;
-  while (i < hi) {
-    const int64_t boff = i % nb;
-    const int64_t seg = std::min(hi, i + (nb - boff));
-    int64_t j = i;
-    for (; j + 16 <= seg; j += 16) {
-      const __m512 p = _mm512_add_ps(_mm512_loadu_ps(x + j),
-                                     _mm512_loadu_ps(b + boff + (j - i)));
-      _mm512_storeu_ps(pre + j, p);
-      _mm512_storeu_ps(out + j, _mm512_max_ps(p, zero));
-    }
-    for (; j < seg; ++j) {
-      const float p = x[j] + b[boff + (j - i)];
-      pre[j] = p;
-      out[j] = p > 0.0f ? p : 0.0f;
-    }
-    i = seg;
-  }
-}
-
-// ---- row reductions ----
 
 // Lane-per-row layernorm statistics: 8 rows per block, one double lane per
 // row, columns gathered ascending. Each row's accumulation order is exactly
@@ -247,113 +123,20 @@ static inline void rows_moments(const float* x, int64_t r0, int64_t r1,
   if (r < r1) generic::rows_moments(x, r, r1, cols, eps, mean, rstd);
 }
 
-static inline void ln_xhat(const float* x, const float* mean,
-                           const float* rstd, float* out, int64_t r0,
-                           int64_t r1, int64_t cols) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const __m512 vm = _mm512_set1_ps(mean[r]);
-    const __m512 vrs = _mm512_set1_ps(rstd[r]);
-    const float* row = x + r * cols;
-    float* orow = out + r * cols;
-    int64_t c = 0;
-    for (; c + 16 <= cols; c += 16) {
-      _mm512_storeu_ps(
-          orow + c,
-          _mm512_mul_ps(_mm512_sub_ps(_mm512_loadu_ps(row + c), vm), vrs));
-    }
-    const float m = mean[r];
-    const float rs = rstd[r];
-    for (; c < cols; ++c) orow[c] = (row[c] - m) * rs;
-  }
-}
-
-// ---- fp16 (zmm-width F16C; same NaN screening as the avx2 tier) ----
-
-static inline void fp16_encode(const float* in, uint16_t* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(in + i);
-    if (_mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q) != 0) {
-      generic::fp16_encode(in + i, out + i, 16);
-      continue;
-    }
-    const __m256i h = _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), h);
-  }
-  if (i < n) avx2i::fp16_encode(in + i, out + i, n - i);
-}
-
-static inline void fp16_decode(const uint16_t* in, float* out, int64_t n) {
-  const __m256i expmask = _mm256_set1_epi16(0x7FFF);
-  const __m256i inf16 = _mm256_set1_epi16(0x7C00);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i h =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    const __m256i isnan =
-        _mm256_cmpgt_epi16(_mm256_and_si256(h, expmask), inf16);
-    if (_mm256_movemask_epi8(isnan) != 0) {
-      generic::fp16_decode(in + i, out + i, 16);
-      continue;
-    }
-    _mm512_storeu_ps(out + i, _mm512_cvtph_ps(h));
-  }
-  if (i < n) avx2i::fp16_decode(in + i, out + i, n - i);
-}
-
-static inline void fp16_round_trip(const float* in, float* out, int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(in + i);
-    if (_mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q) != 0) {
-      generic::fp16_round_trip(in + i, out + i, 16);
-      continue;
-    }
-    const __m256i h = _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT);
-    _mm512_storeu_ps(out + i, _mm512_cvtph_ps(h));
-  }
-  if (i < n) avx2i::fp16_round_trip(in + i, out + i, n - i);
-}
-
-// ---- GEMM ----
-
-static inline void gemm(const float* a, int64_t a_rs, int64_t a_cs,
-                        const float* b, int64_t b_rs, int64_t b_cs, float* c,
-                        int64_t ldc, int64_t m, int64_t k, int64_t n) {
-  gemm_t<Avx512GemmPolicy>(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, m, k, n);
-}
-
 }  // namespace avx512i
 
 const KernelTable* avx512_kernels() {
-  static const KernelTable table = {
-      "avx512",
-      avx512i::gemm,
-      avx512i::ew_add,
-      avx512i::ew_sub,
-      avx512i::ew_mul,
-      avx512i::ew_div,
-      avx512i::ew_add_scalar,
-      avx512i::ew_mul_scalar,
-      avx512i::ew_sub_scalar,
-      avx512i::ew_neg,
-      avx512i::ew_abs,
-      avx512i::ew_sqrt,
-      avx512i::ew_relu,
-      avx512i::ew_scale,
-      avx512i::ew_bias_relu,
-      // Fallback-heavy scans and 8-bit packing: the 256-bit versions are
-      // already bound by the semantic screening / byte shuffles.
-      avx2i::row_max,
-      avx2i::row_minmax,
-      avx512i::rows_moments,
-      avx512i::ln_xhat,
-      avx512i::fp16_encode,
-      avx512i::fp16_decode,
-      avx512i::fp16_round_trip,
-      avx2i::quant_quantize_row,
-      avx2i::quant_dequantize_row,
-  };
+  static const KernelTable table = [] {
+    KernelTable t = make_table<avx512i::Avx512Policy>("avx512");
+    // Fallback-heavy scans and 8-bit packing: the 256-bit versions are
+    // already bound by the semantic screening / byte shuffles.
+    t.row_max = row_max<avx2i::Avx2Policy>;
+    t.row_minmax = row_minmax<avx2i::Avx2Policy>;
+    t.rows_moments = avx512i::rows_moments;
+    t.quant_quantize_row = avx2i::quant_quantize_row;
+    t.quant_dequantize_row = avx2i::quant_dequantize_row;
+    return t;
+  }();
   return &table;
 }
 

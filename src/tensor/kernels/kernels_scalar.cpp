@@ -2,11 +2,12 @@
 // byte for byte. Compiled with -O3 -ffp-contract=off and NO architecture
 // flags, so the binary runs on any x86-64 (or non-x86) host.
 //
-// The GEMM policy spells its tile in GNU vector extension types: without
-// an explicit vector type GCC's SLP vectorizer gives up on the accumulator
-// and the kernel runs ~7x slower. With no -m flags this compiles to the
-// baseline SSE2 encoding; 16-byte vectors keep it off the AVX calling
-// convention (-Wpsabi).
+// Only the GEMM runs on this tier's vector policy; every other entry is
+// the generic:: reference loop itself. The policy spells its tile in GNU
+// vector extension types: without an explicit vector type GCC's SLP
+// vectorizer gives up on the accumulator and the kernel runs ~7x slower.
+// With no -m flags this compiles to the baseline SSE2 encoding; 16-byte
+// vectors keep it off the AVX calling convention (-Wpsabi).
 #include <cstring>
 
 #include "tensor/kernels/gemm_common.h"
@@ -21,7 +22,7 @@ typedef float v4f __attribute__((vector_size(16)));
 
 // 4x12 register tile of three 4-lane GNU vectors per row: 12 accumulators
 // + 3 B columns + 1 broadcast fill the 16 SSE registers.
-struct ScalarGemmPolicy {
+struct ScalarPolicy {
   using V = v4f;
   using Mask = int64_t;  // live leading lanes
   static constexpr int kVW = 4;
@@ -52,7 +53,7 @@ struct ScalarGemmPolicy {
 void gemm(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
           int64_t b_rs, int64_t b_cs, float* c, int64_t ldc, int64_t m,
           int64_t k, int64_t n) {
-  gemm_t<ScalarGemmPolicy>(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, m, k, n);
+  gemm_t<ScalarPolicy>(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, m, k, n);
 }
 
 }  // namespace

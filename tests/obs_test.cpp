@@ -261,6 +261,10 @@ TEST(Report, SchemaRoundTripsThroughFile) {
   EXPECT_EQ(doc.find("binary")->as_string(), "obstest");
   EXPECT_NE(doc.find("git_rev"), nullptr);
   EXPECT_NE(doc.find("hardware")->find("hw_concurrency"), nullptr);
+  // The CPU model string: "" where /proc/cpuinfo is absent, never missing.
+  const json::Value* cpu = doc.find("hardware")->find("cpu_model");
+  ASSERT_NE(cpu, nullptr);
+  EXPECT_EQ(cpu->kind(), json::Kind::kString);
   EXPECT_EQ(doc.find("config")->find("seed")->as_int(), 7);
   const json::Value* phases = doc.find("phases");
   ASSERT_NE(phases, nullptr);
