@@ -21,8 +21,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/functions.h"
@@ -380,13 +382,63 @@ void bench_compressor(const char* label, C& c, const ts::Tensor& x) {
   core::set_num_threads(1);
 }
 
+// The PackBits and Huffman stages of the rle+huffman plane coder, each on
+// its own, over the high-byte (sign and exponent) plane of the fp16 bytes
+// `raw`: the plane the codec records below spend most of their time on.
+// One thread; GB/s against the plane's bytes. The stages' input is the
+// previous stage's output, as in the container.
+void bench_lossless_stages(const std::vector<std::byte>& raw) {
+  const auto n = static_cast<int64_t>(raw.size() / 2);
+  std::vector<std::byte> plane(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) plane[static_cast<size_t>(i)] = raw[static_cast<size_t>(2 * i + 1)];
+  std::vector<std::byte> rle(static_cast<size_t>(cp::detail::rle_bound(n)));
+  int64_t m = 0;
+  const double t_rle = best_of(5, [&] {
+    m = cp::detail::rle_encode(plane.data(), n, rle.data());
+  });
+  // A code is at most 32 bits, so the stream fits 256 + 4 bytes a symbol.
+  const int64_t cap = 256 + 4 * m;
+  std::vector<std::byte> huff(static_cast<size_t>(cap));
+  int64_t h = 0;
+  const double t_henc = best_of(5, [&] {
+    h = cp::detail::huffman_encode_to(rle.data(), m, cap, huff.data());
+  });
+  std::vector<std::byte> back(static_cast<size_t>(m)), out(static_cast<size_t>(n));
+  const double t_hdec = best_of(5, [&] {
+    cp::detail::huffman_decode_to(huff.data(), h, m, back.data());
+  });
+  const double t_rdec = best_of(5, [&] {
+    cp::detail::rle_decode(back.data(), m, n, out.data());
+  });
+  if (h < 0 || back != std::vector<std::byte>(rle.begin(), rle.begin() + m) ||
+      out != plane) {
+    std::fprintf(stderr, "lossless stages: round trip failed\n");
+    std::exit(1);
+  }
+  char shape[32];
+  std::snprintf(shape, sizeof(shape), "%lld", static_cast<long long>(n));
+  const std::pair<const char*, double> stages[] = {
+      {"lossless_rle_encode", t_rle},
+      {"lossless_huffman_encode", t_henc},
+      {"lossless_huffman_decode", t_hdec},
+      {"lossless_rle_decode", t_rdec}};
+  for (const auto& [op, t] : stages) {
+    emit(op, shape, 1, t * 1e9, static_cast<double>(n) / t / 1e9);
+    std::printf("%-28s %-10s t=1  %8.1f us  %6.2f GB/s\n", op, shape, t * 1e6,
+                static_cast<double>(n) / t / 1e9);
+  }
+}
+
 // One encode + one decode record per standard lossless codec tier
-// (compress/lossless.h), on the fp16 wire bytes of a seeded activation
-// tensor — the byte distribution the codec actually sees on a link. GB/s is
-// quoted against the RAW payload (what the link would otherwise carry);
-// each record also stores the measured compression ratio. Runs in both
-// --quick and full mode so the CI perf gate and the committed baseline
-// share record keys. Scalar codecs: threads = 1 only.
+// (compress/lossless.h) and pool width, on the fp16 wire bytes of a seeded
+// activation tensor — the byte distribution the codec actually sees on a
+// link. GB/s is quoted against the RAW payload (what the link would
+// otherwise carry); each record also stores the measured compression ratio.
+// The codec codes a container's (chunk, plane) units in one parallel pass,
+// so t=2 shows what plane parallelism buys over t=1 (a bp2 payload is two
+// units, a bp4 one four). Then the per-stage records above, at t=1. Runs in
+// both --quick and full mode so the CI perf gate and the committed baseline
+// share record keys.
 void bench_lossless(const ts::Tensor& x) {
   std::vector<std::byte> raw;
   raw.reserve(static_cast<size_t>(x.numel()) * 2);
@@ -394,29 +446,33 @@ void bench_lossless(const ts::Tensor& x) {
   const double raw_bytes = static_cast<double>(raw.size());
   char shape[32];
   std::snprintf(shape, sizeof(shape), "%lld", static_cast<long long>(x.numel()));
-  core::set_num_threads(1);
-  for (const cp::LosslessCodec& codec : cp::standard_lossless_codecs()) {
-    const std::vector<std::byte> enc = codec.encode(raw);
-    const double ratio = static_cast<double>(enc.size()) / raw_bytes;
-    const double te = best_of(3, [&] { codec.encode(raw); });
-    const double td = best_of(3, [&] { codec.decode(enc); });
-    const std::string label = "lossless(" + codec.name() + ")";
-    for (const char* dir : {"_encode", "_decode"}) {
-      const double t = dir[1] == 'e' ? te : td;
-      obs::json::Value r = obs::json::Value::object();
-      r.set("op", label + dir);
-      r.set("shape", std::string(shape));
-      r.set("threads", 1);
-      r.set("ns_op", t * 1e9);
-      r.set("gb_s", raw_bytes / t / 1e9);
-      r.set("ratio", ratio);
-      obs::RunReport::current()->add_record(std::move(r));
-      ++g_emitted;
+  for (const int threads : {1, 2}) {
+    core::set_num_threads(threads);
+    for (const cp::LosslessCodec& codec : cp::standard_lossless_codecs()) {
+      const std::vector<std::byte> enc = codec.encode(raw);
+      const double ratio = static_cast<double>(enc.size()) / raw_bytes;
+      const double te = best_of(3, [&] { codec.encode(raw); });
+      const double td = best_of(3, [&] { codec.decode(enc); });
+      const std::string label = "lossless(" + codec.name() + ")";
+      for (const char* dir : {"_encode", "_decode"}) {
+        const double t = dir[1] == 'e' ? te : td;
+        obs::json::Value r = obs::json::Value::object();
+        r.set("op", label + dir);
+        r.set("shape", std::string(shape));
+        r.set("threads", threads);
+        r.set("ns_op", t * 1e9);
+        r.set("gb_s", raw_bytes / t / 1e9);
+        r.set("ratio", ratio);
+        obs::RunReport::current()->add_record(std::move(r));
+        ++g_emitted;
+      }
+      std::printf("%-28s %-10s t=%d  enc %6.2f GB/s  dec %6.2f GB/s  ratio %.3f\n",
+                  label.c_str(), shape, threads, raw_bytes / te / 1e9,
+                  raw_bytes / td / 1e9, ratio);
     }
-    std::printf("%-28s %-10s t=1  enc %6.2f GB/s  dec %6.2f GB/s  ratio %.3f\n",
-                label.c_str(), shape, raw_bytes / te / 1e9, raw_bytes / td / 1e9,
-                ratio);
   }
+  core::set_num_threads(1);
+  bench_lossless_stages(raw);
 }
 
 void bench_finetune_step() {

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,6 +74,9 @@ int plane_count(PlaneSplit split);
 /// byte string; decode throws std::invalid_argument on truncated or
 /// malformed containers (the container's sizes are fully determined by its
 /// header, so any proper prefix — and any trailing garbage — is rejected).
+/// Both code the container's (chunk, plane) units in one parallel pass on
+/// the global pool; bytes and errors are those of coding the units in wire
+/// order, at any pool width (DESIGN.md §16).
 struct LosslessCodec {
   LosslessAlgo algo = LosslessAlgo::kRleHuffman;
   PlaneSplit split = PlaneSplit::kStride2;
@@ -87,6 +91,9 @@ struct LosslessCodec {
   std::vector<std::byte> encode(const std::byte* data, int64_t n) const;
   std::vector<std::byte> encode(const std::vector<std::byte>& data) const;
   std::vector<std::byte> decode(const std::vector<std::byte>& buf) const;
+  /// Decodes the container in buf[0, n), e.g. one segment of a larger
+  /// message, without copying it out first.
+  std::vector<std::byte> decode(const std::byte* buf, int64_t n) const;
 
   /// Chunks encode() will emit for a payload of `raw_bytes`.
   int num_chunks(int64_t raw_bytes) const;
@@ -183,15 +190,37 @@ class StackedCompressor : public Compressor {
 
 namespace detail {
 
-/// The Huffman plane coder of WIRE_FORMATS.md §4.5, exposed for the
-/// differential and fuzz tests. Encode returns nullopt when the tree is
-/// deeper than 32 bits (the caller then stores the plane raw).
-std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
-                                                     int64_t n);
+// The plane coders of WIRE_FORMATS.md §4.4-§4.5, exposed for the
+// differential and fuzz tests and the per-stage records of kernels_bench.
+
+/// Upper bound on rle_encode()'s output for `n` input bytes.
+int64_t rle_bound(int64_t n);
+/// PackBits-codes p[0, n) into `out` (room for rle_bound(n) bytes); returns
+/// the bytes written.
+int64_t rle_encode(const std::byte* p, int64_t n, std::byte* out);
+/// Decodes exactly `expected` bytes into out[0], out[stride], ... (stride 1,
+/// 2 or 4); throws std::invalid_argument on any malformed stream.
+void rle_decode(const std::byte* p, int64_t n, int64_t expected, std::byte* out,
+                int stride = 1);
+
+/// The Huffman stream for p[0, n), or nullopt when the tree is deeper than
+/// 32 bits (the caller then stores the plane raw) or the stream would be
+/// longer than `limit` bytes. The size is known before any bit is emitted,
+/// so a stream over the limit costs no emission.
+std::optional<std::vector<std::byte>> huffman_encode(
+    const std::byte* p, int64_t n,
+    int64_t limit = std::numeric_limits<int64_t>::max());
+/// Same, into `out` (room for `limit` bytes); returns the stream's size, or
+/// -1 where huffman_encode() returns nullopt.
+int64_t huffman_encode_to(const std::byte* p, int64_t n, int64_t limit,
+                          std::byte* out);
 /// Decodes exactly `expected` symbols and requires the stream to be exactly
 /// consumed; throws std::invalid_argument on any malformed stream.
 std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
                                       int64_t expected);
+/// Same, into out[0], out[stride], ... (stride 1, 2 or 4).
+void huffman_decode_to(const std::byte* p, int64_t n, int64_t expected,
+                       std::byte* out, int stride = 1);
 
 }  // namespace detail
 

@@ -1,5 +1,6 @@
 #include "compress/wire.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "core/threadpool.h"
@@ -10,6 +11,10 @@ namespace actcomp::compress::wire {
 namespace {
 // Elements per parallel chunk for the sparse gather/scatter loops.
 constexpr int64_t kEwGrain = int64_t{1} << 13;
+// fp16 values per conversion call of append_fp16/read_fp16: the kernels
+// take a uint16_t array, and staging the wire bytes through one 8 KiB
+// block keeps that copy in L1 instead of a second full-size buffer.
+constexpr int64_t kHalfBlock = 4096;
 
 int32_t index_at(const std::byte* idx_base, int64_t i) {
   int32_t j = 0;
@@ -34,12 +39,17 @@ int64_t first_bad_index(const std::byte* idx_base, int64_t b, int64_t e,
 void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t) {
   const auto src = t.data();
   if (src.empty()) return;
-  std::vector<uint16_t> half(src.size());
-  tensor::kernels::active_kernels().fp16_encode(
-      src.data(), half.data(), static_cast<int64_t>(src.size()));
+  const auto n = static_cast<int64_t>(src.size());
   const size_t off = buf.size();
-  buf.resize(off + half.size() * 2);
-  std::memcpy(buf.data() + off, half.data(), half.size() * 2);
+  buf.resize(off + src.size() * 2);
+  const tensor::kernels::KernelTable& k = tensor::kernels::active_kernels();
+  uint16_t half[kHalfBlock];
+  for (int64_t b = 0; b < n; b += kHalfBlock) {
+    const int64_t len = std::min(kHalfBlock, n - b);
+    k.fp16_encode(src.data() + b, half, len);
+    std::memcpy(buf.data() + off + static_cast<size_t>(b) * 2, half,
+                static_cast<size_t>(len) * 2);
+  }
 }
 
 std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
@@ -48,11 +58,16 @@ std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
                     static_cast<uint64_t>(n) <= (buf.size() - off) / 2,
                 "truncated wire message");
   if (n == 0) return {};
-  std::vector<uint16_t> half(static_cast<size_t>(n));
-  std::memcpy(half.data(), buf.data() + off, half.size() * 2);
   std::vector<float> out(static_cast<size_t>(n));
-  tensor::kernels::active_kernels().fp16_decode(half.data(), out.data(), n);
-  off += half.size() * 2;
+  const tensor::kernels::KernelTable& k = tensor::kernels::active_kernels();
+  uint16_t half[kHalfBlock];
+  for (int64_t b = 0; b < n; b += kHalfBlock) {
+    const int64_t len = std::min(kHalfBlock, n - b);
+    std::memcpy(half, buf.data() + off + static_cast<size_t>(b) * 2,
+                static_cast<size_t>(len) * 2);
+    k.fp16_decode(half, out.data() + b, len);
+  }
+  off += static_cast<size_t>(n) * 2;
   return out;
 }
 

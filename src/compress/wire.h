@@ -28,7 +28,8 @@ T read_pod(const std::vector<std::byte>& buf, size_t& off) {
   return v;
 }
 
-/// Append every element of `t` as IEEE fp16 (one batch conversion).
+/// Append every element of `t` as IEEE fp16 (batch conversions, 8 KiB at a
+/// time).
 void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t);
 
 /// Read `n` fp16 values starting at `off` into fp32. Throws

@@ -1,11 +1,14 @@
 // Scalar reference implementations for every KernelTable entry.
 //
 // These are the loops the repo ran before the SIMD overhaul, verbatim —
-// they define the bytes every wider tier must reproduce. They are inline
-// so each per-ISA TU can also use them for remainders and semantic
-// fallbacks (NaN lanes, ±0 ties) without cross-TU calls; all kernel TUs
-// compile with -ffp-contract=off, so the math is flag-identical wherever
-// it is instantiated.
+// they define the bytes every wider tier must reproduce — except that the
+// broadcast loops (ew_binary, ew_bias_relu) walk [lo, hi) one period of b
+// at a time instead of taking i % nb per element: the same expressions on
+// the same operands, checked against the per-element loops in
+// tests/kernel_table_test.cpp. They are inline so each per-ISA TU can also
+// use them for remainders and semantic fallbacks (NaN lanes, ±0 ties)
+// without cross-TU calls; all kernel TUs compile with -ffp-contract=off, so
+// the math is flag-identical wherever it is instantiated.
 #pragma once
 
 #include <algorithm>
@@ -19,14 +22,28 @@ namespace actcomp::tensor::kernels::generic {
 
 // ---- elementwise ----
 
+// Splits [lo, hi) at multiples of nb and calls f(i0, i1, boff) for each
+// piece: over [i0, i1) the broadcast index i % nb runs contiguously from
+// boff, so a piece costs one division instead of one per element. A
+// same-shape operand (nb >= hi) is one piece.
+template <class F>
+static inline void for_each_period(int64_t lo, int64_t hi, int64_t nb, F f) {
+  for (int64_t i = lo; i < hi;) {
+    const int64_t boff = i % nb;
+    const int64_t end = std::min(hi, i + (nb - boff));
+    f(i, end, boff);
+    i = end;
+  }
+}
+
+// out[i] = f(a[i], b[i % nb]) for i in [lo, hi).
 template <typename F>
 static inline void ew_binary(const float* a, const float* b, float* out, int64_t lo,
                       int64_t hi, int64_t nb, F f) {
-  if (hi <= nb) {  // same-shape fast path: i % nb == i on this chunk
-    for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i]);
-  } else {
-    for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i % nb]);
-  }
+  for_each_period(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
+    const float* bp = b + boff;
+    for (int64_t i = i0; i < i1; ++i) out[i] = f(a[i], bp[i - i0]);
+  });
 }
 
 static inline void ew_add(const float* a, const float* b, float* out, int64_t lo,
@@ -75,11 +92,14 @@ static inline void ew_scale(float* x, float s, int64_t lo, int64_t hi) {
 }
 static inline void ew_bias_relu(const float* x, const float* b, float* pre,
                          float* out, int64_t lo, int64_t hi, int64_t nb) {
-  for (int64_t i = lo; i < hi; ++i) {
-    const float p = x[i] + b[i % nb];
-    pre[i] = p;
-    out[i] = p > 0.0f ? p : 0.0f;
-  }
+  for_each_period(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
+    const float* bp = b + boff;
+    for (int64_t i = i0; i < i1; ++i) {
+      const float p = x[i] + bp[i - i0];
+      pre[i] = p;
+      out[i] = p > 0.0f ? p : 0.0f;
+    }
+  });
 }
 
 // ---- row reductions ----

@@ -48,25 +48,11 @@ static inline void ew_map(const float* a, float* out, int64_t lo, int64_t hi,
   for (; i < hi; ++i) out[i] = sf(a[i]);
 }
 
-// Splits [lo, hi) at multiples of nb and calls f(i0, i1, boff) for each
-// piece: over [i0, i1) the broadcast index i % nb runs contiguously from
-// boff, so whole vectors of b load directly. A same-shape operand (nb >=
-// hi) is one piece.
-template <class F>
-static inline void for_each_period(int64_t lo, int64_t hi, int64_t nb, F f) {
-  for (int64_t i = lo; i < hi;) {
-    const int64_t boff = i % nb;
-    const int64_t end = std::min(hi, i + (nb - boff));
-    f(i, end, boff);
-    i = end;
-  }
-}
-
 // out[i] = sf(a[i], b[i % nb]) for i in [lo, hi).
 template <class P, class VF, class SF>
 static inline void ew_binary(const float* a, const float* b, float* out,
                              int64_t lo, int64_t hi, int64_t nb, VF vf, SF sf) {
-  for_each_period(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
+  generic::for_each_period(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
     const float* bp = b + boff;
     int64_t i = i0;
     for (; i + P::kVW <= i1; i += P::kVW) {
@@ -162,7 +148,7 @@ template <class P>
 static inline void ew_bias_relu(const float* x, const float* b, float* pre,
                                 float* out, int64_t lo, int64_t hi,
                                 int64_t nb) {
-  for_each_period(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
+  generic::for_each_period(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
     const float* bp = b + boff;
     int64_t i = i0;
     for (; i + P::kVW <= i1; i += P::kVW) {

@@ -8,9 +8,15 @@
 //   * fp16 wire helpers: one append_pod/read_pod per element (now one batch
 //     conversion per tensor);
 //   * Random-K: the std::unordered_map sampler plus std::sort (now a flat
-//     open-addressing table plus a bitmap sort).
+//     open-addressing table plus a bitmap sort);
+//   * the lossless container: LosslessCodec::encode/decode and the stacked
+//     compressor's segment coding, one plane after another, with the
+//     byte-at-a-time PackBits coder and the one-symbol Huffman table (now
+//     every (chunk, plane) unit in one parallel pass, a word-at-a-time
+//     PackBits scan, a Huffman size limit and a two-symbol table).
 // Every comparison is byte for byte: wire bodies, decoded tensors, gradients,
-// generator state, and for malformed Huffman streams the exception message.
+// generator state, and for malformed Huffman streams and lossless messages
+// the exception message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +24,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -347,6 +354,505 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
                 "Huffman bitstream has trailing bytes on wire");
   return out;
 }
+
+
+// ---- Lossless container: the serial codec, verbatim ----
+//
+// LosslessCodec::encode/decode and StackedCompressor::do_encode/do_decode as
+// they were before the container coded its (chunk, plane) units in parallel,
+// with the PackBits coder and the one-symbol-per-lookup Huffman decoder they
+// called. The member functions become free functions of the codec (and, for
+// the stacked pair, of the inner message and layout); the bodies are as they
+// were.
+
+namespace serial {
+
+constexpr uint8_t kMagic = 0xAC;
+constexpr uint8_t kVersion = 1;
+constexpr int64_t kHeaderBytes = 24;
+constexpr int kTableBits = 11;
+constexpr int64_t kMaxExpansion = 512;
+
+struct ByteReader {
+  const std::byte* p = nullptr;
+  int64_t n = 0;
+  int64_t off = 0;
+
+  template <typename T>
+  T get() {
+    ACTCOMP_CHECK(off + static_cast<int64_t>(sizeof(T)) <= n,
+                  "truncated lossless container");
+    T v{};
+    std::memcpy(&v, p + off, sizeof(T));
+    off += static_cast<int64_t>(sizeof(T));
+    return v;
+  }
+  const std::byte* take(int64_t k) {
+    ACTCOMP_CHECK(k >= 0 && off + k <= n, "truncated lossless container");
+    const std::byte* q = p + off;
+    off += k;
+    return q;
+  }
+};
+
+void rle_flush_literals(std::vector<std::byte>& out, const std::byte* p,
+                        int64_t begin, int64_t end) {
+  while (begin < end) {
+    const int64_t len = std::min<int64_t>(128, end - begin);
+    out.push_back(static_cast<std::byte>(len - 1));
+    out.insert(out.end(), p + begin, p + begin + len);
+    begin += len;
+  }
+}
+
+std::vector<std::byte> rle_encode(const std::byte* p, int64_t n) {
+  std::vector<std::byte> out;
+  out.reserve(static_cast<size_t>(n / 2 + 16));
+  int64_t i = 0;
+  auto run_at = [&](int64_t j) {
+    int64_t run = 1;
+    while (j + run < n && run < 128 && p[j + run] == p[j]) ++run;
+    return run;
+  };
+  while (i < n) {
+    int64_t run = run_at(i);
+    if (run >= 3) {
+      out.push_back(static_cast<std::byte>(257 - run));
+      out.push_back(p[i]);
+      i += run;
+      continue;
+    }
+    const int64_t lit = i;
+    while (i < n) {
+      run = run_at(i);
+      if (run >= 3) break;
+      i += run;
+    }
+    rle_flush_literals(out, p, lit, i);
+  }
+  return out;
+}
+
+std::vector<std::byte> rle_decode(const std::byte* p, int64_t n,
+                                  int64_t expected) {
+  std::vector<std::byte> out;
+  out.reserve(static_cast<size_t>(expected));
+  int64_t i = 0;
+  while (i < n) {
+    const auto c = static_cast<uint8_t>(p[i++]);
+    if (c <= 127) {
+      const int64_t len = c + 1;
+      ACTCOMP_CHECK(i + len <= n, "truncated RLE literal run on wire");
+      ACTCOMP_CHECK(static_cast<int64_t>(out.size()) + len <= expected,
+                    "RLE stream overruns its declared plane size");
+      out.insert(out.end(), p + i, p + i + len);
+      i += len;
+    } else {
+      ACTCOMP_CHECK(c != 128, "reserved RLE control byte 128 on wire");
+      ACTCOMP_CHECK(i < n, "truncated RLE repeat run on wire");
+      const int64_t len = 257 - c;
+      ACTCOMP_CHECK(static_cast<int64_t>(out.size()) + len <= expected,
+                    "RLE stream overruns its declared plane size");
+      out.insert(out.end(), static_cast<size_t>(len), p[i++]);
+    }
+  }
+  ACTCOMP_CHECK(static_cast<int64_t>(out.size()) == expected,
+                "RLE stream decodes to " << out.size() << " bytes, expected "
+                                         << expected);
+  return out;
+}
+
+std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
+                                                     int64_t n) {
+  int64_t counts[256] = {};
+  for (int64_t i = 0; i < n; ++i) ++counts[static_cast<uint8_t>(p[i])];
+  uint8_t lens[256];
+  if (!huffman_lengths(counts, lens)) return std::nullopt;
+  uint32_t codes[256] = {};
+  if (!canonical_codes(lens, codes)) return std::nullopt;
+
+  uint32_t rev[256] = {};
+  uint64_t total_bits = 0;
+  for (int s = 0; s < 256; ++s) {
+    for (int b = 0; b < lens[s]; ++b) {
+      rev[s] |= ((codes[s] >> b) & 1u) << (lens[s] - 1 - b);
+    }
+    total_bits += static_cast<uint64_t>(counts[s]) * lens[s];
+  }
+  std::vector<std::byte> out(256 + static_cast<size_t>((total_bits + 7) / 8));
+  for (int s = 0; s < 256; ++s) out[static_cast<size_t>(s)] = static_cast<std::byte>(lens[s]);
+  std::byte* w = out.data() + 256;
+  uint64_t acc = 0;
+  int nbits = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const auto s = static_cast<uint8_t>(p[i]);
+    acc |= static_cast<uint64_t>(rev[s]) << nbits;
+    nbits += lens[s];
+    if (nbits >= 32) {
+      const auto word = static_cast<uint32_t>(acc);
+      std::memcpy(w, &word, 4);
+      w += 4;
+      acc >>= 32;
+      nbits -= 32;
+    }
+  }
+  for (; nbits > 0; nbits -= 8) {
+    *w++ = static_cast<std::byte>(acc & 0xFFu);
+    acc >>= 8;
+  }
+  return out;
+}
+
+std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
+                                      int64_t expected) {
+  ACTCOMP_CHECK(n >= 256, "truncated Huffman length table on wire");
+  uint8_t lens[256];
+  for (int s = 0; s < 256; ++s) {
+    lens[s] = static_cast<uint8_t>(p[s]);
+    ACTCOMP_CHECK(lens[s] <= kMaxCodeLen,
+                  "Huffman code length " << int{lens[s]} << " exceeds limit "
+                                         << kMaxCodeLen);
+  }
+  std::vector<int> syms;
+  for (int s = 0; s < 256; ++s) {
+    if (lens[s] > 0) syms.push_back(s);
+  }
+  ACTCOMP_CHECK(!syms.empty() || expected == 0,
+                "empty Huffman alphabet for a non-empty plane");
+  std::sort(syms.begin(), syms.end(), [&](int a, int b) {
+    if (lens[a] != lens[b]) return lens[a] < lens[b];
+    return a < b;
+  });
+  uint32_t first[kMaxCodeLen + 1] = {};
+  uint32_t count[kMaxCodeLen + 1] = {};
+  uint32_t offset[kMaxCodeLen + 1] = {};
+  for (int s : syms) ++count[lens[s]];
+  {
+    uint64_t code = 0;
+    uint32_t off = 0;
+    for (int l = 1; l <= kMaxCodeLen; ++l) {
+      code <<= 1;
+      first[l] = static_cast<uint32_t>(code);
+      offset[l] = off;
+      code += count[l];
+      off += count[l];
+      ACTCOMP_CHECK(code <= (uint64_t{1} << l),
+                    "over-full Huffman length table on wire");
+    }
+  }
+
+  uint16_t table[1 << kTableBits] = {};
+  for (int l = 1; l <= kTableBits; ++l) {
+    for (uint32_t c = 0; c < count[l]; ++c) {
+      const uint32_t code = first[l] + c;
+      uint32_t rev = 0;
+      for (int b = 0; b < l; ++b) rev |= ((code >> b) & 1u) << (l - 1 - b);
+      const auto entry = static_cast<uint16_t>(syms[offset[l] + c] | (l << 8));
+      for (uint32_t hi = 0; hi < (1u << (kTableBits - l)); ++hi) {
+        table[rev | (hi << l)] = entry;
+      }
+    }
+  }
+
+  const std::byte* bits = p + 256;
+  const int64_t nbytes = n - 256;
+  const int64_t nbits_total = nbytes * 8;
+  int64_t bitpos = 0;
+  std::vector<std::byte> out(static_cast<size_t>(expected));
+  int64_t i = 0;
+  while (i < expected) {
+    while ((bitpos >> 3) + 8 <= nbytes) {
+      uint64_t window = 0;
+      std::memcpy(&window, bits + (bitpos >> 3), 8);
+      window >>= bitpos & 7;
+      int avail = 64 - static_cast<int>(bitpos & 7);
+      uint16_t e = 0;
+      while (avail >= kTableBits && i < expected &&
+             (e = table[window & ((1u << kTableBits) - 1)]) != 0) {
+        const int len = e >> 8;
+        out[static_cast<size_t>(i++)] = static_cast<std::byte>(e & 0xFF);
+        window >>= len;
+        avail -= len;
+        bitpos += len;
+      }
+      if (i == expected || e == 0) break;
+    }
+    if (i == expected) break;
+    uint32_t code = 0;
+    int len = 0;
+    for (;;) {
+      ACTCOMP_CHECK(bitpos < nbits_total, "truncated Huffman bitstream on wire");
+      const int bit =
+          (static_cast<uint8_t>(bits[bitpos >> 3]) >> (bitpos & 7)) & 1;
+      ++bitpos;
+      code = (code << 1) | static_cast<uint32_t>(bit);
+      ++len;
+      ACTCOMP_CHECK(len <= kMaxCodeLen, "invalid Huffman code on wire");
+      if (code >= first[len] && code - first[len] < count[len]) {
+        out[static_cast<size_t>(i++)] = static_cast<std::byte>(
+            syms[offset[len] + (code - first[len])]);
+        break;
+      }
+    }
+  }
+  ACTCOMP_CHECK((bitpos + 7) / 8 == n - 256,
+                "Huffman bitstream has trailing bytes on wire");
+  return out;
+}
+
+int64_t plane_raw_len(int64_t chunk_len, int stride, int plane) {
+  return chunk_len / stride + (plane < chunk_len % stride ? 1 : 0);
+}
+
+std::vector<std::byte> gather_plane(const std::byte* p, int64_t n, int stride,
+                                    int plane) {
+  std::vector<std::byte> out(static_cast<size_t>(plane_raw_len(n, stride, plane)));
+  size_t j = 0;
+  for (int64_t i = plane; i < n; i += stride) out[j++] = p[i];
+  return out;
+}
+
+std::pair<cp::LosslessAlgo, std::vector<std::byte>> encode_plane(
+    const std::byte* p, int64_t n, cp::LosslessAlgo algo) {
+  std::optional<std::vector<std::byte>> coded;
+  switch (algo) {
+    case cp::LosslessAlgo::kRaw:
+      break;
+    case cp::LosslessAlgo::kRle:
+      coded = rle_encode(p, n);
+      break;
+    case cp::LosslessAlgo::kHuffman:
+      coded = huffman_encode(p, n);
+      break;
+    case cp::LosslessAlgo::kRleHuffman: {
+      const std::vector<std::byte> rle = rle_encode(p, n);
+      if (auto h = huffman_encode(rle.data(), static_cast<int64_t>(rle.size()))) {
+        std::vector<std::byte> stream;
+        stream.reserve(8 + h->size());
+        cp::wire::append_pod<uint64_t>(stream, static_cast<uint64_t>(rle.size()));
+        stream.insert(stream.end(), h->begin(), h->end());
+        coded = std::move(stream);
+      }
+      break;
+    }
+  }
+  if (coded && static_cast<int64_t>(coded->size()) < n) {
+    return {algo, std::move(*coded)};
+  }
+  return {cp::LosslessAlgo::kRaw, std::vector<std::byte>(p, p + n)};
+}
+
+std::vector<std::byte> decode_plane(cp::LosslessAlgo algo, const std::byte* p,
+                                    int64_t n, int64_t expected) {
+  switch (algo) {
+    case cp::LosslessAlgo::kRaw:
+      ACTCOMP_CHECK(n == expected, "raw plane size mismatch on wire");
+      return std::vector<std::byte>(p, p + n);
+    case cp::LosslessAlgo::kRle:
+      return rle_decode(p, n, expected);
+    case cp::LosslessAlgo::kHuffman:
+      return huffman_decode(p, n, expected);
+    case cp::LosslessAlgo::kRleHuffman: {
+      ByteReader r{p, n};
+      const auto rle_len = static_cast<int64_t>(r.get<uint64_t>());
+      ACTCOMP_CHECK(rle_len >= 0 && rle_len <= kMaxExpansion * (n - r.off) + 8,
+                    "implausible RLE stream size on wire");
+      const std::vector<std::byte> rle =
+          huffman_decode(p + r.off, n - r.off, rle_len);
+      return rle_decode(rle.data(), static_cast<int64_t>(rle.size()), expected);
+    }
+  }
+  ACTCOMP_CHECK(false, "unknown plane algo id on wire");
+}
+
+void encode_chunk(const std::byte* p, int64_t n, cp::LosslessAlgo algo, int stride,
+                  std::vector<std::byte>& out) {
+  for (int plane = 0; plane < stride; ++plane) {
+    std::vector<std::byte> plane_bytes = gather_plane(p, n, stride, plane);
+    auto [used, coded] = encode_plane(
+        plane_bytes.data(), static_cast<int64_t>(plane_bytes.size()), algo);
+    cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(used));
+    cp::wire::append_pod<uint64_t>(out, static_cast<uint64_t>(coded.size()));
+    out.insert(out.end(), coded.begin(), coded.end());
+  }
+}
+
+void decode_chunk(const std::byte* p, int64_t n, int64_t expected_raw,
+                  cp::LosslessAlgo container_algo, int stride,
+                  std::vector<std::byte>& out) {
+  ByteReader r{p, n};
+  const size_t base = out.size();
+  out.resize(base + static_cast<size_t>(expected_raw));
+  for (int plane = 0; plane < stride; ++plane) {
+    const auto algo_id = r.get<uint8_t>();
+    ACTCOMP_CHECK(algo_id == static_cast<uint8_t>(cp::LosslessAlgo::kRaw) ||
+                      algo_id == static_cast<uint8_t>(container_algo),
+                  "plane algo id " << int{algo_id}
+                                   << " is neither raw nor the container's");
+    const auto coded_len = static_cast<int64_t>(r.get<uint64_t>());
+    const std::byte* coded = r.take(coded_len);
+    const int64_t expected = plane_raw_len(expected_raw, stride, plane);
+    ACTCOMP_CHECK(expected <= kMaxExpansion * coded_len + 8,
+                  "implausible plane expansion on wire");
+    const std::vector<std::byte> raw = decode_plane(
+        static_cast<cp::LosslessAlgo>(algo_id), coded, coded_len, expected);
+    size_t j = 0;
+    for (int64_t i = plane; i < expected_raw; i += stride) {
+      out[base + static_cast<size_t>(i)] = raw[j++];
+    }
+  }
+  ACTCOMP_CHECK(r.off == n, "trailing bytes after the chunk's last plane");
+}
+
+/// LosslessCodec::encode(data, n).
+std::vector<std::byte> encode(const cp::LosslessCodec& codec,
+                              const std::byte* data, int64_t n) {
+  const cp::LosslessAlgo algo = codec.algo;
+  const cp::PlaneSplit split = codec.split;
+  const int64_t chunk_bytes = codec.chunk_bytes;
+  ACTCOMP_CHECK(n >= 0, "negative payload size");
+  ACTCOMP_CHECK(n == 0 || data != nullptr, "null payload");
+  const int chunks = codec.num_chunks(n);
+  const int64_t chunk_raw = chunks == 1 ? n : chunk_bytes;
+  const int stride = cp::plane_count(split);
+
+  std::vector<std::vector<std::byte>> chunk_streams(
+      static_cast<size_t>(chunks));
+  for (int c = 0; c < chunks; ++c) {
+    const int64_t begin = static_cast<int64_t>(c) * chunk_raw;
+    const int64_t len = std::min(chunk_raw, n - begin);
+    encode_chunk(data + begin, len, algo, stride,
+                 chunk_streams[static_cast<size_t>(c)]);
+  }
+
+  std::vector<std::byte> out;
+  out.reserve(static_cast<size_t>(kHeaderBytes + 8 * chunks));
+  cp::wire::append_pod<uint8_t>(out, kMagic);
+  cp::wire::append_pod<uint8_t>(out, kVersion);
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(algo));
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(split));
+  cp::wire::append_pod<uint64_t>(out, static_cast<uint64_t>(n));
+  cp::wire::append_pod<uint32_t>(out, static_cast<uint32_t>(chunks));
+  cp::wire::append_pod<uint64_t>(out, static_cast<uint64_t>(chunk_raw));
+  for (const auto& cs : chunk_streams) {
+    cp::wire::append_pod<uint64_t>(out, static_cast<uint64_t>(cs.size()));
+  }
+  for (const auto& cs : chunk_streams) out.insert(out.end(), cs.begin(), cs.end());
+  return out;
+}
+
+/// LosslessCodec::decode(buf); the codec's fields play no part, as before.
+std::vector<std::byte> decode(const std::vector<std::byte>& buf) {
+  ByteReader r{buf.data(), static_cast<int64_t>(buf.size())};
+  ACTCOMP_CHECK(r.get<uint8_t>() == kMagic, "bad lossless container magic");
+  ACTCOMP_CHECK(r.get<uint8_t>() == kVersion,
+                "unsupported lossless container version");
+  const auto algo_id = r.get<uint8_t>();
+  ACTCOMP_CHECK(algo_id <= static_cast<uint8_t>(cp::LosslessAlgo::kRleHuffman),
+                "unknown lossless algo id " << int{algo_id});
+  const auto split_id = r.get<uint8_t>();
+  ACTCOMP_CHECK(split_id <= static_cast<uint8_t>(cp::PlaneSplit::kStride4),
+                "unknown plane split id " << int{split_id});
+  const auto raw = static_cast<int64_t>(r.get<uint64_t>());
+  ACTCOMP_CHECK(raw >= 0 &&
+                    raw <= kMaxExpansion * static_cast<int64_t>(buf.size()),
+                "implausible raw payload size on wire");
+  const auto chunks = static_cast<int64_t>(r.get<uint32_t>());
+  ACTCOMP_CHECK(chunks >= 1, "lossless container needs >= 1 chunk");
+  const auto chunk_raw = static_cast<int64_t>(r.get<uint64_t>());
+  if (chunks == 1) {
+    ACTCOMP_CHECK(chunk_raw == raw,
+                  "single-chunk container must have chunk_raw == raw_bytes");
+  } else {
+    ACTCOMP_CHECK(chunk_raw >= 1, "multi-chunk container needs chunk_raw >= 1");
+    ACTCOMP_CHECK(chunk_raw <= raw && chunks == (raw + chunk_raw - 1) / chunk_raw,
+                  "chunk table inconsistent with raw_bytes");
+  }
+  ACTCOMP_CHECK(chunks <= (r.n - r.off) / 8, "truncated lossless container");
+  std::vector<int64_t> sizes(static_cast<size_t>(chunks));
+  int64_t total = 0;
+  for (auto& s : sizes) {
+    s = static_cast<int64_t>(r.get<uint64_t>());
+    ACTCOMP_CHECK(s >= 0 && s <= static_cast<int64_t>(buf.size()),
+                  "chunk size out of range on wire");
+    total += s;
+  }
+  ACTCOMP_CHECK(r.off + total == static_cast<int64_t>(buf.size()),
+                "container size does not match its chunk table (truncated or "
+                "trailing bytes)");
+
+  std::vector<std::byte> out;
+  out.reserve(static_cast<size_t>(raw));
+  const auto algo = static_cast<cp::LosslessAlgo>(algo_id);
+  const int stride = cp::plane_count(static_cast<cp::PlaneSplit>(split_id));
+  for (int64_t c = 0; c < chunks; ++c) {
+    const int64_t expected =
+        c + 1 == chunks ? raw - chunk_raw * (chunks - 1) : chunk_raw;
+    const std::byte* p = r.take(sizes[static_cast<size_t>(c)]);
+    decode_chunk(p, sizes[static_cast<size_t>(c)], expected, algo, stride, out);
+  }
+  return out;
+}
+
+/// StackedCompressor::do_encode after `inner_->encode(x)` and `layout_for`:
+/// the stacked body for an inner body and its (validated) segments.
+std::vector<std::byte> stacked_encode(const std::vector<std::byte>& inner_body,
+                                      const std::vector<cp::BodySegment>& segs,
+                                      const cp::LosslessCodec& codec_) {
+  std::vector<std::byte> body;
+  cp::wire::append_pod<uint32_t>(body, static_cast<uint32_t>(segs.size()));
+  std::vector<std::vector<std::byte>> containers;
+  containers.reserve(segs.size());
+  for (const cp::BodySegment& s : segs) {
+    cp::LosslessCodec c = codec_;
+    c.split = s.split;
+    containers.push_back(encode(c, inner_body.data() + s.offset, s.bytes));
+    cp::wire::append_pod<uint64_t>(body,
+                                   static_cast<uint64_t>(containers.back().size()));
+  }
+  for (const auto& c : containers) {
+    body.insert(body.end(), c.begin(), c.end());
+  }
+  return body;
+}
+
+/// StackedCompressor::do_decode up to `inner_->decode(inner)`: the inner
+/// body. `layout_size` stands for `layout_for(shape, bytes).size()`.
+std::vector<std::byte> stacked_decode(
+    const cp::CompressedMessage& msg,
+    const std::function<size_t(int64_t)>& layout_size) {
+  size_t off = 0;
+  const auto nseg = static_cast<int64_t>(cp::wire::read_pod<uint32_t>(msg.body, off));
+  ACTCOMP_CHECK(nseg >= 1, "stacked message needs >= 1 segment");
+  ACTCOMP_CHECK(static_cast<size_t>(nseg) <= (msg.body.size() - off) / 8,
+                "truncated stacked segment table on wire");
+  std::vector<int64_t> sizes(static_cast<size_t>(nseg));
+  for (auto& s : sizes) {
+    s = static_cast<int64_t>(cp::wire::read_pod<uint64_t>(msg.body, off));
+  }
+  cp::CompressedMessage inner;
+  inner.shape_dims = msg.shape_dims;
+  for (int64_t i = 0; i < nseg; ++i) {
+    const int64_t len = sizes[static_cast<size_t>(i)];
+    ACTCOMP_CHECK(len >= 0 && static_cast<size_t>(len) <= msg.body.size() - off,
+                  "truncated stacked segment on wire");
+    const std::vector<std::byte> container(
+        msg.body.begin() + static_cast<int64_t>(off),
+        msg.body.begin() + static_cast<int64_t>(off) + len);
+    const std::vector<std::byte> raw = decode(container);
+    inner.body.insert(inner.body.end(), raw.begin(), raw.end());
+    off += static_cast<size_t>(len);
+  }
+  ACTCOMP_CHECK(off == msg.body.size(),
+                "trailing bytes after the stacked message's last segment");
+  ACTCOMP_CHECK(
+      static_cast<int64_t>(layout_size(static_cast<int64_t>(inner.body.size()))) ==
+          nseg,
+      "stacked segment count disagrees with the layout");
+  return inner.body;
+}
+
+}  // namespace serial
 
 }  // namespace oracle
 
@@ -806,6 +1312,512 @@ TEST(HuffmanFastPath, EverySingleBitFlipMatchesBitWalk) {
       flipped[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
       expect_same_decode(flipped, static_cast<int64_t>(flipped.size()), n,
                          "flip " + std::to_string(bit));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lossless container: unit-parallel coding against the serial codec
+// ---------------------------------------------------------------------------
+
+using Bytes = std::vector<std::byte>;
+
+/// Either the decoded bytes or "<exception type>:<check message>". The
+/// message drops ACTCOMP_CHECK's "check failed: (<condition>) at
+/// <file>:<line>" head, which names the source the check sits in.
+std::string container_outcome(const std::function<Bytes()>& fn) {
+  try {
+    const Bytes out = fn();
+    return "ok:" + std::string(reinterpret_cast<const char*>(out.data()), out.size());
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const std::string dash = " — ";
+    const size_t at = what.find(dash);
+    return "invalid_argument:" +
+           (at == std::string::npos ? what : what.substr(at + dash.size()));
+  } catch (const std::exception& e) {
+    return std::string("other:") + e.what();
+  }
+}
+
+/// The standard codecs plus raw, rle, huffman/none and rle+huffman/none.
+std::vector<cp::LosslessCodec> fastpath_codecs() {
+  std::vector<cp::LosslessCodec> codecs = cp::standard_lossless_codecs();
+  codecs.push_back({cp::LosslessAlgo::kRaw, cp::PlaneSplit::kStride4, 0});
+  codecs.push_back({cp::LosslessAlgo::kRle, cp::PlaneSplit::kNone, 0});
+  codecs.push_back({cp::LosslessAlgo::kHuffman, cp::PlaneSplit::kNone, 0});
+  codecs.push_back({cp::LosslessAlgo::kRleHuffman, cp::PlaneSplit::kNone, 0});
+  return codecs;
+}
+
+struct Payload {
+  std::string name;
+  Bytes bytes;
+};
+
+Bytes fp16_activation(uint64_t seed, int64_t n) {
+  ts::Generator gen(seed);
+  Bytes out;
+  oracle::append_fp16(out, gen.normal(ts::Shape{n}));
+  return out;
+}
+
+/// Uniform over `k` symbols: runs and triples of every length start at
+/// every offset.
+Bytes small_alphabet(uint64_t seed, int64_t n, int k) {
+  ts::Generator gen(seed);
+  Bytes out(static_cast<size_t>(n));
+  for (auto& b : out) b = static_cast<std::byte>(gen.randint(0, k - 1));
+  return out;
+}
+
+/// Runs of exactly `len` equal bytes, each run's value unlike its
+/// neighbours'.
+Bytes runs_of(int64_t len, int64_t total) {
+  Bytes out;
+  for (int64_t r = 0; static_cast<int64_t>(out.size()) < total; ++r) {
+    out.insert(out.end(), static_cast<size_t>(len), static_cast<std::byte>((r * 37) & 0xFF));
+  }
+  return out;
+}
+
+/// Neighbouring bytes all differ except for one triple at `pos`.
+Bytes triple_at(int64_t n, int64_t pos) {
+  Bytes out(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) out[static_cast<size_t>(i)] = static_cast<std::byte>(i * 7 + 1);
+  out[static_cast<size_t>(pos + 1)] = out[static_cast<size_t>(pos)];
+  out[static_cast<size_t>(pos + 2)] = out[static_cast<size_t>(pos)];
+  return out;
+}
+
+/// Two symbols, never three equal in a row: the plane's Huffman stream is
+/// 256 + ceil(n / 8) bytes, which equals n at n = 293, so lengths around it
+/// sit on both sides of the raw fallback.
+Bytes two_symbols(uint64_t seed, int64_t n) {
+  ts::Generator gen(seed);
+  Bytes out(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    auto b = static_cast<std::byte>(gen.randint(0, 1) * 200);
+    if (i >= 2 && out[static_cast<size_t>(i - 1)] == b && out[static_cast<size_t>(i - 2)] == b) {
+      b = b == std::byte{0} ? std::byte{200} : std::byte{0};
+    }
+    out[static_cast<size_t>(i)] = b;
+  }
+  return out;
+}
+
+/// Payloads small enough for every chunk size, down to one byte a chunk.
+std::vector<Payload> tiny_payloads() {
+  std::vector<Payload> out;
+  for (int64_t n = 0; n <= 50; ++n) {
+    out.push_back({"len" + std::to_string(n), small_alphabet(static_cast<uint64_t>(n), n, 3)});
+  }
+  out.push_back({"run129", runs_of(129, 300)});
+  return out;
+}
+
+std::vector<Payload> small_payloads() {
+  std::vector<Payload> out = tiny_payloads();
+  for (int64_t n : {55, 56, 57, 63, 64, 65, 71, 72, 73, 79, 80, 81, 127, 128, 129,
+                    130, 255, 256, 257}) {
+    out.push_back({"edge" + std::to_string(n), small_alphabet(static_cast<uint64_t>(100 + n), n, 2)});
+  }
+  for (int64_t n : {10, 17, 24}) {
+    for (int64_t pos = 0; pos + 3 <= n; ++pos) {
+      out.push_back({"triple" + std::to_string(n) + "@" + std::to_string(pos), triple_at(n, pos)});
+    }
+  }
+  for (int64_t n = 280; n <= 340; ++n) {
+    out.push_back({"two" + std::to_string(n), two_symbols(static_cast<uint64_t>(n), n)});
+  }
+  return out;
+}
+
+std::vector<Payload> large_payloads() {
+  std::vector<Payload> out;
+  out.push_back({"fp16", fp16_activation(1, 3000)});
+  out.push_back({"fp16-2chunks", fp16_activation(2, 40000)});
+  out.push_back({"zeros", Bytes(5000, std::byte{0})});
+  out.push_back({"skewed", skewed_payload(3, 4000, 0.4)});
+  {
+    ts::Generator gen(4);
+    Bytes uniform(4096);
+    for (auto& b : uniform) b = static_cast<std::byte>(gen.randint(0, 255));
+    out.push_back({"uniform", std::move(uniform)});
+  }
+  for (int64_t len : {2, 3, 128, 129}) {
+    out.push_back({"runs" + std::to_string(len), runs_of(len, 6000)});
+  }
+  return out;
+}
+
+::testing::AssertionResult same_as_serial(const cp::LosslessCodec& codec,
+                                          const Payload& p, const Bytes& want) {
+  const Bytes got = codec.encode(p.bytes);
+  const std::string where = codec.name() + " chunk " + std::to_string(codec.chunk_bytes) +
+                            " payload " + p.name + " threads " +
+                            std::to_string(core::num_threads());
+  if (got != want) return ::testing::AssertionFailure() << "container differs: " << where;
+  if (codec.decode(got) != p.bytes) {
+    return ::testing::AssertionFailure() << "decode differs: " << where;
+  }
+  if (codec.decode(got.data(), static_cast<int64_t>(got.size())) != p.bytes) {
+    return ::testing::AssertionFailure() << "pointer decode differs: " << where;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every (codec, chunk size, payload) container against the serial codec's,
+/// computed once, at each pool width.
+void expect_containers_match(const std::vector<int64_t>& chunk_sizes,
+                             const std::vector<Payload>& payloads) {
+  struct Case {
+    cp::LosslessCodec codec;
+    const Payload* payload;
+    Bytes want;
+  };
+  std::vector<Case> cases;
+  for (cp::LosslessCodec codec : fastpath_codecs()) {
+    for (int64_t chunk : chunk_sizes) {
+      codec.chunk_bytes = chunk;
+      for (const Payload& p : payloads) {
+        cases.push_back({codec, &p,
+                         oracle::serial::encode(codec, p.bytes.data(),
+                                                static_cast<int64_t>(p.bytes.size()))});
+      }
+    }
+  }
+  ThreadGuard tguard;
+  for (int width : {1, 2, 4}) {
+    core::set_num_threads(width);
+    for (const Case& c : cases) {
+      ASSERT_TRUE(same_as_serial(c.codec, *c.payload, c.want));
+    }
+  }
+}
+
+TEST(LosslessFastPath, ContainersMatchSerialCodecAtEveryWidth) {
+  std::vector<Payload> payloads = small_payloads();
+  for (Payload& p : large_payloads()) payloads.push_back(std::move(p));
+  expect_containers_match({0, 700, 65536}, payloads);
+}
+
+TEST(LosslessFastPath, OneAndSevenByteChunksMatchSerialCodec) {
+  expect_containers_match({1, 7}, tiny_payloads());
+}
+
+TEST(LosslessFastPath, HuffmanSizeLimitKeepsTheRawFallbackBoundary) {
+  // The early exit must skip exactly the planes the serial codec stored raw:
+  // a stream of exactly n bytes does not shrink an n-byte plane.
+  const cp::LosslessCodec huffman{cp::LosslessAlgo::kHuffman, cp::PlaneSplit::kNone, 0};
+  bool saw_equal = false, saw_one_less = false;
+  for (int64_t n = 280; n <= 340; ++n) {
+    const Bytes p = two_symbols(static_cast<uint64_t>(n), n);
+    const auto full = oracle::serial::huffman_encode(p.data(), n);
+    ASSERT_TRUE(full.has_value());
+    const auto size = static_cast<int64_t>(full->size());
+    saw_equal |= size == n;
+    saw_one_less |= size == n - 1;
+    for (int64_t limit : {size - 1, size, size + 1}) {
+      const auto got = cp::detail::huffman_encode(p.data(), n, limit);
+      ASSERT_EQ(got.has_value(), limit >= size) << "n " << n << " limit " << limit;
+      if (got) {
+        EXPECT_EQ(*got, *full);
+      }
+    }
+    // The container's plane-algo byte: Huffman only when strictly smaller.
+    const Bytes c = huffman.encode(p);
+    const auto algo = static_cast<uint8_t>(c[24 + 8]);
+    EXPECT_EQ(algo, size < n ? 2 : 0) << "n " << n;
+    EXPECT_EQ(c, oracle::serial::encode(huffman, p.data(), n));
+  }
+  EXPECT_TRUE(saw_equal && saw_one_less) << "no payload sat on the raw fallback boundary";
+}
+
+TEST(LosslessFastPath, RleKernelsMatchSerialCoder) {
+  std::vector<Payload> payloads = small_payloads();
+  for (Payload& p : large_payloads()) payloads.push_back(std::move(p));
+  for (const Payload& p : payloads) {
+    const auto n = static_cast<int64_t>(p.bytes.size());
+    const Bytes want = oracle::serial::rle_encode(p.bytes.data(), n);
+    Bytes got(static_cast<size_t>(cp::detail::rle_bound(n)));
+    const int64_t m = cp::detail::rle_encode(p.bytes.data(), n, got.data());
+    ASSERT_LE(m, cp::detail::rle_bound(n)) << p.name;
+    got.resize(static_cast<size_t>(m));
+    ASSERT_EQ(got, want) << p.name;
+    for (int stride : {1, 2, 4}) {
+      // Decode into every stride-th byte; the bytes between stay untouched.
+      Bytes out(static_cast<size_t>(n * stride), std::byte{0x5A});
+      cp::detail::rle_decode(got.data(), m, n, out.data(), stride);
+      for (int64_t i = 0; i < n * stride; ++i) {
+        ASSERT_EQ(out[static_cast<size_t>(i)],
+                  i % stride == 0 ? p.bytes[static_cast<size_t>(i / stride)] : std::byte{0x5A})
+            << p.name << " stride " << stride << " at " << i;
+      }
+    }
+    // Malformed streams: every truncation, and every expected size near n.
+    for (int64_t cut = 0; cut < std::min<int64_t>(m, 40); ++cut) {
+      Bytes out(static_cast<size_t>(n + 1));
+      EXPECT_EQ(container_outcome([&] {
+                  cp::detail::rle_decode(got.data(), cut, n, out.data());
+                  return Bytes(out.begin(), out.begin() + n);
+                }),
+                container_outcome([&] { return oracle::serial::rle_decode(got.data(), cut, n); }))
+          << p.name << " cut " << cut;
+    }
+    for (int64_t expected : {n - 1, n + 1}) {
+      if (expected < 0) continue;
+      Bytes out(static_cast<size_t>(n + 1));
+      EXPECT_EQ(container_outcome([&] {
+                  cp::detail::rle_decode(got.data(), m, expected, out.data());
+                  return Bytes(out.begin(), out.begin() + expected);
+                }),
+                container_outcome(
+                    [&] { return oracle::serial::rle_decode(got.data(), m, expected); }))
+          << p.name << " expected " << expected;
+    }
+  }
+}
+
+TEST(LosslessFastPath, StridedHuffmanDecodeMatchesContiguous) {
+  for (const auto& p : huffman_payloads()) {
+    const auto n = static_cast<int64_t>(p.size());
+    const auto stream = oracle::huffman_encode(p.data(), n);
+    ASSERT_TRUE(stream.has_value());
+    for (int stride : {2, 4}) {
+      Bytes out(static_cast<size_t>(n * stride), std::byte{0x5A});
+      cp::detail::huffman_decode_to(stream->data(), static_cast<int64_t>(stream->size()), n,
+                                    out.data(), stride);
+      for (int64_t i = 0; i < n * stride; ++i) {
+        ASSERT_EQ(out[static_cast<size_t>(i)],
+                  i % stride == 0 ? p[static_cast<size_t>(i / stride)] : std::byte{0x5A})
+            << "n " << n << " stride " << stride << " at " << i;
+      }
+    }
+  }
+}
+
+cp::SegmentLayoutFn layout_for_setting(cp::Setting s) {
+  if (s == cp::Setting::kT3 || s == cp::Setting::kR3) return cp::segments_topk();
+  if (s == cp::Setting::kQ2) return cp::segments_quantize();
+  return cp::segment_whole(cp::PlaneSplit::kStride2);
+}
+
+Bytes bytes_of(const ts::Tensor& t) {
+  const std::vector<uint8_t> b = tensor_bytes(t);
+  Bytes out(b.size());
+  if (!b.empty()) std::memcpy(out.data(), b.data(), b.size());
+  return out;
+}
+
+/// A stacked codec, the same inner codec built from the same seed, and the
+/// layout both use.
+struct StackedCase {
+  cp::Setting setting;
+  std::unique_ptr<cp::StackedCompressor> codec;
+  cp::CompressorPtr twin;
+  cp::SegmentLayoutFn layout;
+
+  StackedCase(cp::Setting s, uint64_t seed, int64_t hidden)
+      : setting(s), layout(layout_for_setting(s)) {
+    ts::Generator gen(seed), twin_gen(seed);
+    codec = std::make_unique<cp::StackedCompressor>(cp::make_compressor(s, hidden, gen),
+                                                    cp::LosslessCodec{}, layout);
+    twin = cp::make_compressor(s, hidden, twin_gen);
+  }
+
+  /// StackedCompressor::decode as it was: the serial stacked decoder, then
+  /// the inner codec.
+  Bytes serial_decode(const cp::CompressedMessage& msg) const {
+    cp::CompressedMessage inner;
+    inner.shape_dims = msg.shape_dims;
+    inner.body = oracle::serial::stacked_decode(msg, [&](int64_t bytes) {
+      return layout(ts::Shape{msg.shape_dims}, bytes).size();
+    });
+    return bytes_of(codec->inner().decode(inner));
+  }
+};
+
+TEST(LosslessFastPath, StackedMessagesMatchSerialCodecAtEveryWidth) {
+  ThreadGuard tguard;
+  for (int width : {1, 2, 4}) {
+    core::set_num_threads(width);
+    for (cp::Setting s : {cp::Setting::kT3, cp::Setting::kQ2, cp::Setting::kR3,
+                          cp::Setting::kA2}) {
+      StackedCase c(s, 7, 256);
+      ts::Generator gen(5);
+      const ts::Tensor x = gen.normal(ts::Shape{48, 256});
+      const cp::CompressedMessage msg = c.codec->encode(x);
+      const cp::CompressedMessage inner = c.twin->encode(x);
+      const std::vector<cp::BodySegment> segs =
+          c.layout(x.shape(), static_cast<int64_t>(inner.body.size()));
+      ASSERT_EQ(msg.body, oracle::serial::stacked_encode(inner.body, segs, cp::LosslessCodec{}))
+          << cp::setting_label(s) << " threads " << width;
+      const Bytes got = bytes_of(c.codec->decode(msg));
+      EXPECT_EQ(got, c.serial_decode(msg)) << cp::setting_label(s) << " threads " << width;
+      EXPECT_EQ(got, bytes_of(c.twin->decode(inner))) << cp::setting_label(s);
+    }
+  }
+}
+
+/// Seeded mutants of valid messages: bit flips, truncations, size fields
+/// and Huffman length bytes overwritten with hostile values, and splices.
+class Mutator {
+ public:
+  explicit Mutator(uint64_t seed) : gen_(seed) {}
+
+  Bytes mutate(const std::vector<Bytes>& corpus) {
+    Bytes m = corpus[below(corpus.size())];
+    for (int r = 0, rounds = 1 + static_cast<int>(below(3)); r < rounds; ++r) {
+      switch (below(5)) {
+        case 0:
+          for (int f = 0, flips = 1 + static_cast<int>(below(4)); f < flips && !m.empty(); ++f) {
+            m[below(m.size())] ^= static_cast<std::byte>(1u << below(8));
+          }
+          break;
+        case 1:
+          m.resize(below(m.size() + 1));
+          break;
+        case 2:
+          if (m.size() >= 8) {
+            const uint64_t choices[] = {~uint64_t{0}, uint64_t{1} << 63, uint64_t{1} << 32,
+                                        m.size() * uint64_t{600}, m.size() + 1, 0};
+            const uint64_t v = choices[below(std::size(choices))];
+            std::memcpy(m.data() + below(m.size() - 7), &v, 8);
+          }
+          break;
+        case 3:
+          if (!m.empty()) {
+            const uint8_t choices[] = {0, 1, 11, 12, 31, 32, 33, 128, 255};
+            m[below(m.size())] = static_cast<std::byte>(choices[below(std::size(choices))]);
+          }
+          break;
+        case 4: {
+          const Bytes& other = corpus[below(corpus.size())];
+          m.resize(below(m.size() + 1));
+          m.insert(m.end(), other.begin() + static_cast<std::ptrdiff_t>(below(other.size() + 1)),
+                   other.end());
+          break;
+        }
+      }
+    }
+    return m;
+  }
+
+ private:
+  size_t below(size_t n) {
+    return n == 0 ? 0 : static_cast<size_t>(gen_.randint(0, static_cast<int64_t>(n) - 1));
+  }
+
+  ts::Generator gen_;
+};
+
+constexpr int kMutants = 5000;
+
+TEST(LosslessFastPath, ContainerMutantsMatchSerialCodecAtEveryWidth) {
+  const std::vector<cp::LosslessCodec> codecs = {
+      {cp::LosslessAlgo::kRleHuffman, cp::PlaneSplit::kStride2, 0},
+      {cp::LosslessAlgo::kRleHuffman, cp::PlaneSplit::kStride4, 700},
+      {cp::LosslessAlgo::kHuffman, cp::PlaneSplit::kNone, 0},
+      {cp::LosslessAlgo::kHuffman, cp::PlaneSplit::kStride2, 300},
+      {cp::LosslessAlgo::kRle, cp::PlaneSplit::kStride2, 64},
+      {cp::LosslessAlgo::kRaw, cp::PlaneSplit::kStride2, 0}};
+  const std::vector<Bytes> payloads = {fp16_activation(8, 700), skewed_payload(9, 1500, 0.4),
+                                       Bytes(600, std::byte{0}), two_symbols(10, 300), Bytes{}};
+  std::vector<Bytes> corpus;
+  for (const cp::LosslessCodec& codec : codecs) {
+    for (const Bytes& p : payloads) corpus.push_back(codec.encode(p));
+  }
+  // The decoder reads everything from the container header.
+  const cp::LosslessCodec decoder;
+  Mutator mut(2024);
+  std::vector<Bytes> mutants;
+  std::vector<std::string> want;
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    mutants.push_back(mut.mutate(corpus));
+    want.push_back(container_outcome([&] { return oracle::serial::decode(mutants.back()); }));
+    rejected += want.back().rfind("ok:", 0) == 0 ? 0 : 1;
+  }
+  EXPECT_GT(rejected, kMutants / 2);
+  EXPECT_LT(rejected, kMutants);
+  ThreadGuard tguard;
+  for (int width : {1, 2, 4}) {
+    core::set_num_threads(width);
+    for (int i = 0; i < kMutants; ++i) {
+      ASSERT_EQ(container_outcome([&] { return decoder.decode(mutants[static_cast<size_t>(i)]); }),
+                want[static_cast<size_t>(i)])
+          << "mutant " << i << " threads " << width;
+    }
+  }
+}
+
+TEST(LosslessFastPath, StackedMutantsMatchSerialCodecAtEveryWidth) {
+  std::vector<StackedCase> cases;
+  for (cp::Setting s : {cp::Setting::kT3, cp::Setting::kQ2, cp::Setting::kR3}) {
+    cases.emplace_back(s, 11, 64);
+  }
+  ts::Generator gen(12);
+  const ts::Tensor x = gen.normal(ts::Shape{16, 64});
+  for (StackedCase& c : cases) {
+    std::vector<Bytes> corpus;
+    for (int i = 0; i < 3; ++i) corpus.push_back(c.codec->encode(x).body);
+    Mutator mut(300 + static_cast<uint64_t>(c.setting));
+    std::vector<cp::CompressedMessage> mutants;
+    std::vector<std::string> want;
+    for (int i = 0; i < kMutants; ++i) {
+      cp::CompressedMessage m;
+      m.shape_dims = x.shape().dims();
+      m.body = mut.mutate(corpus);
+      mutants.push_back(std::move(m));
+      want.push_back(container_outcome([&] { return c.serial_decode(mutants.back()); }));
+    }
+    ThreadGuard tguard;
+    for (int width : {1, 2, 4}) {
+      core::set_num_threads(width);
+      for (int i = 0; i < kMutants; ++i) {
+        ASSERT_EQ(container_outcome([&] {
+                    return bytes_of(c.codec->decode(mutants[static_cast<size_t>(i)]));
+                  }),
+                  want[static_cast<size_t>(i)])
+            << cp::setting_label(c.setting) << " mutant " << i << " threads " << width;
+      }
+    }
+  }
+}
+
+TEST(LosslessFastPath, FirstErrorIsTheFirstInWireOrderNotInTime) {
+  // Plane 0 holds a long Huffman stream of 64 more symbols than the plane:
+  // it fails only once all its symbols are decoded ("trailing bytes").
+  // Plane 1's length table has a 33-bit code: it fails at once. Decoded in
+  // parallel, plane 1 throws first; the serial decoder reports plane 0.
+  const int64_t plane = int64_t{1} << 19;
+  const Bytes syms = skewed_payload(5, plane + 64, 0.3);
+  const Bytes stream0 = *cp::detail::huffman_encode(syms.data(), plane + 64);
+  Bytes stream1(256 + 1024, std::byte{0});
+  stream1[0] = std::byte{33};
+  Bytes c;
+  cp::wire::append_pod<uint8_t>(c, 0xAC);
+  cp::wire::append_pod<uint8_t>(c, 1);
+  cp::wire::append_pod<uint8_t>(c, static_cast<uint8_t>(cp::LosslessAlgo::kHuffman));
+  cp::wire::append_pod<uint8_t>(c, static_cast<uint8_t>(cp::PlaneSplit::kStride2));
+  cp::wire::append_pod<uint64_t>(c, static_cast<uint64_t>(2 * plane));
+  cp::wire::append_pod<uint32_t>(c, 1);
+  cp::wire::append_pod<uint64_t>(c, static_cast<uint64_t>(2 * plane));
+  cp::wire::append_pod<uint64_t>(c, 18 + stream0.size() + stream1.size());
+  for (const Bytes* s : std::vector<const Bytes*>{&stream0, &stream1}) {
+    cp::wire::append_pod<uint8_t>(c, static_cast<uint8_t>(cp::LosslessAlgo::kHuffman));
+    cp::wire::append_pod<uint64_t>(c, s->size());
+    c.insert(c.end(), s->begin(), s->end());
+  }
+  const std::string want = container_outcome([&] { return oracle::serial::decode(c); });
+  ASSERT_NE(want.find("trailing bytes"), std::string::npos) << want;
+  ThreadGuard tguard;
+  for (int width : {1, 2, 4}) {
+    core::set_num_threads(width);
+    for (int rep = 0; rep < 3; ++rep) {
+      EXPECT_EQ(container_outcome([&] { return cp::LosslessCodec{}.decode(c); }), want)
+          << "threads " << width;
     }
   }
 }

@@ -1,6 +1,7 @@
 // Seeded mutation fuzzing of the wire decoders (WIRE_FORMATS.md §3.3, §4,
-// §5): LosslessCodec::decode, StackedCompressor::decode over T3/Q2/R3, and
-// the Top-K and Random-K decoders — plus the serving-trace loader
+// §5): LosslessCodec::decode, LosslessCompressor::decode and
+// StackedCompressor::decode over T3/Q2/R3 (each at pool widths 1 and 2),
+// and the Top-K and Random-K decoders — plus the serving-trace loader
 // (obs::json::Value::parse + sim::serving_trace_from_json).
 //
 // Each target starts from a corpus of valid messages and decodes a fixed
@@ -217,6 +218,19 @@ Bytes fp16_bytes_of(const ts::Tensor& x) {
 // Targets
 // ---------------------------------------------------------------------------
 
+/// The pool widths the container decoders run at: they decode a container's
+/// (chunk, plane) units in one parallel pass, inline at width 1.
+constexpr int kPoolWidths[] = {1, 2};
+
+class PoolWidth {
+ public:
+  explicit PoolWidth(int n) : saved_(core::num_threads()) { core::set_num_threads(n); }
+  ~PoolWidth() { core::set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
 TEST(Fuzz, LosslessCodecDecode) {
   std::vector<cp::LosslessCodec> codecs = cp::standard_lossless_codecs();
   codecs.push_back({cp::LosslessAlgo::kRleHuffman, cp::PlaneSplit::kStride4, 700});
@@ -231,16 +245,47 @@ TEST(Fuzz, LosslessCodecDecode) {
     for (auto& b : skew) b = static_cast<std::byte>(std::countr_zero(rng() | (1ull << 40)));
     payloads.push_back(std::move(skew));
   }
-  for (size_t c = 0; c < codecs.size(); ++c) {
-    const cp::LosslessCodec& codec = codecs[c];
-    std::vector<Bytes> corpus;
-    for (const Bytes& p : payloads) {
-      corpus.push_back(codec.encode(p));
-      ASSERT_EQ(codec.decode(corpus.back()), p) << codec.name();
+  for (const int width : kPoolWidths) {
+    const PoolWidth pool(width);
+    for (size_t c = 0; c < codecs.size(); ++c) {
+      const cp::LosslessCodec& codec = codecs[c];
+      std::vector<Bytes> corpus;
+      for (const Bytes& p : payloads) {
+        corpus.push_back(codec.encode(p));
+        ASSERT_EQ(codec.decode(corpus.back()), p) << codec.name();
+      }
+      const int rejected = fuzz(corpus, 100 + c, 0, [&](const Bytes& m) { codec.decode(m); });
+      if (HasFailure()) return;
+      EXPECT_GT(rejected, 0) << codec.name() << " at width " << width;
     }
-    const int rejected = fuzz(corpus, 100 + c, 0, [&](const Bytes& m) { codec.decode(m); });
-    if (HasFailure()) return;
-    EXPECT_GT(rejected, 0) << codec.name();
+  }
+}
+
+TEST(Fuzz, LosslessCompressorDecode) {
+  // The standalone lossless message: the fp16 stream of a tensor in one
+  // container, whose decoded size must match the (trusted) shape.
+  const std::vector<cp::LosslessCodec> codecs = {
+      cp::LosslessCodec{},
+      {cp::LosslessAlgo::kRleHuffman, cp::PlaneSplit::kStride2, 300},
+      {cp::LosslessAlgo::kHuffman, cp::PlaneSplit::kStride4, 0}};
+  const ts::Tensor x = activation(21, 8, 64);
+  for (const int width : kPoolWidths) {
+    const PoolWidth pool(width);
+    for (size_t c = 0; c < codecs.size(); ++c) {
+      cp::LosslessCompressor comp(codecs[c]);
+      std::vector<Bytes> corpus = {comp.encode(x).body,
+                                   comp.encode(activation(22, 8, 64)).body,
+                                   comp.encode(ts::Tensor(x.shape())).body};
+      const std::vector<int64_t> dims = x.shape().dims();
+      const int rejected = fuzz(corpus, 400 + c, x.numel(), [&](const Bytes& m) {
+        cp::CompressedMessage msg;
+        msg.shape_dims = dims;
+        msg.body = m;
+        comp.decode(msg);
+      });
+      if (HasFailure()) return;
+      EXPECT_GT(rejected, 0) << comp.name() << " at width " << width;
+    }
   }
 }
 
@@ -253,23 +298,26 @@ cp::CompressorPtr stacked(cp::Setting s, uint64_t seed) {
 }
 
 TEST(Fuzz, StackedDecodeOverT3Q2R3) {
-  for (cp::Setting s : {cp::Setting::kT3, cp::Setting::kQ2, cp::Setting::kR3}) {
-    cp::CompressorPtr c = stacked(s, 7);
-    const ts::Tensor x = activation(5, 16, 64);
-    std::vector<Bytes> corpus;
-    for (int i = 0; i < 3; ++i) {
-      corpus.push_back(c->encode(i == 2 ? activation(6, 16, 64) : x).body);
+  for (const int width : kPoolWidths) {
+    const PoolWidth pool(width);
+    for (cp::Setting s : {cp::Setting::kT3, cp::Setting::kQ2, cp::Setting::kR3}) {
+      cp::CompressorPtr c = stacked(s, 7);
+      const ts::Tensor x = activation(5, 16, 64);
+      std::vector<Bytes> corpus;
+      for (int i = 0; i < 3; ++i) {
+        corpus.push_back(c->encode(i == 2 ? activation(6, 16, 64) : x).body);
+      }
+      const std::vector<int64_t> dims = x.shape().dims();
+      const int rejected = fuzz(corpus, 200 + static_cast<uint64_t>(s), x.numel(),
+                                [&](const Bytes& m) {
+                                  cp::CompressedMessage msg;
+                                  msg.shape_dims = dims;
+                                  msg.body = m;
+                                  c->decode(msg);
+                                });
+      if (HasFailure()) return;
+      EXPECT_GT(rejected, 0) << cp::setting_label(s) << " at width " << width;
     }
-    const std::vector<int64_t> dims = x.shape().dims();
-    const int rejected = fuzz(corpus, 200 + static_cast<uint64_t>(s), x.numel(),
-                              [&](const Bytes& m) {
-                                cp::CompressedMessage msg;
-                                msg.shape_dims = dims;
-                                msg.body = m;
-                                c->decode(msg);
-                              });
-    if (HasFailure()) return;
-    EXPECT_GT(rejected, 0) << cp::setting_label(s);
   }
 }
 

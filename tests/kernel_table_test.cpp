@@ -1,6 +1,10 @@
 // Differential tests for every non-GEMM KernelTable entry: each SIMD tier
 // the host runs (kernels_for_tier, capped at detected_simd_isa()) against
-// the scalar reference loops in kernels_generic.h, byte for byte.
+// the scalar reference loops in kernels_generic.h, byte for byte. The
+// broadcast entries (ew_add/sub/mul/div, ew_bias_relu) are checked against
+// verbatim copies of the per-element `i % nb` loops that kernels_generic.h
+// split at period boundaries (`modulo::` below), so the scalar tier is not
+// its own reference there.
 //
 // Every entry is driven over lengths 0 .. 3*16+3, so each vector width
 // sees whole vectors, several of them and a ragged tail; range entries
@@ -32,6 +36,48 @@
 namespace core = actcomp::core;
 namespace kn = actcomp::tensor::kernels;
 namespace generic = actcomp::tensor::kernels::generic;
+
+// The scalar broadcast loops before they were split at period boundaries,
+// verbatim: one 64-bit `i % nb` per element.
+namespace modulo {
+
+template <typename F>
+static inline void ew_binary(const float* a, const float* b, float* out, int64_t lo,
+                      int64_t hi, int64_t nb, F f) {
+  if (hi <= nb) {  // same-shape fast path: i % nb == i on this chunk
+    for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i]);
+  } else {
+    for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i % nb]);
+  }
+}
+
+static inline void ew_add(const float* a, const float* b, float* out, int64_t lo,
+                   int64_t hi, int64_t nb) {
+  ew_binary(a, b, out, lo, hi, nb, [](float x, float y) { return x + y; });
+}
+static inline void ew_sub(const float* a, const float* b, float* out, int64_t lo,
+                   int64_t hi, int64_t nb) {
+  ew_binary(a, b, out, lo, hi, nb, [](float x, float y) { return x - y; });
+}
+static inline void ew_mul(const float* a, const float* b, float* out, int64_t lo,
+                   int64_t hi, int64_t nb) {
+  ew_binary(a, b, out, lo, hi, nb, [](float x, float y) { return x * y; });
+}
+static inline void ew_div(const float* a, const float* b, float* out, int64_t lo,
+                   int64_t hi, int64_t nb) {
+  ew_binary(a, b, out, lo, hi, nb, [](float x, float y) { return x / y; });
+}
+
+static inline void ew_bias_relu(const float* x, const float* b, float* pre,
+                         float* out, int64_t lo, int64_t hi, int64_t nb) {
+  for (int64_t i = lo; i < hi; ++i) {
+    const float p = x[i] + b[i % nb];
+    pre[i] = p;
+    out[i] = p > 0.0f ? p : 0.0f;
+  }
+}
+
+}  // namespace modulo
 
 namespace {
 
@@ -188,10 +234,10 @@ TEST(KernelTable, BinaryElementwiseMatchesGeneric) {
     bool commutative;
   };
   const Entry entries[] = {
-      {"ew_add", &kn::KernelTable::ew_add, generic::ew_add, true},
-      {"ew_sub", &kn::KernelTable::ew_sub, generic::ew_sub, false},
-      {"ew_mul", &kn::KernelTable::ew_mul, generic::ew_mul, true},
-      {"ew_div", &kn::KernelTable::ew_div, generic::ew_div, false},
+      {"ew_add", &kn::KernelTable::ew_add, modulo::ew_add, true},
+      {"ew_sub", &kn::KernelTable::ew_sub, modulo::ew_sub, false},
+      {"ew_mul", &kn::KernelTable::ew_mul, modulo::ew_mul, true},
+      {"ew_div", &kn::KernelTable::ew_div, modulo::ew_div, false},
   };
   Diff diff;
   for_each_tier([&](const kn::KernelTable& k) {
@@ -315,8 +361,8 @@ TEST(KernelTable, BiasReluMatchesGeneric) {
             auto want_pre = sentinel<float>(hi), want = sentinel<float>(hi);
             k.ew_bias_relu(x.data(), b.data(), pre.data(), out.data(), lo, hi,
                            nb);
-            generic::ew_bias_relu(x.data(), b.data(), want_pre.data(),
-                                  want.data(), lo, hi, nb);
+            modulo::ew_bias_relu(x.data(), b.data(), want_pre.data(),
+                                 want.data(), lo, hi, nb);
             for (int64_t i = lo; i < hi; ++i) {
               accept_either_payload(x[i], b[i % nb], pre[i], want_pre[i]);
             }

@@ -3,6 +3,7 @@
 // RunReport schema round-trip, and the Table-4/7 accounting projection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -10,6 +11,8 @@
 #include <tuple>
 #include <vector>
 
+#include "compress/lossless.h"
+#include "compress/settings.h"
 #include "core/threadpool.h"
 #include "obs/accounting.h"
 #include "obs/json.h"
@@ -17,10 +20,13 @@
 #include "obs/registry.h"
 #include "obs/report.h"
 #include "parallel/mp_simulator.h"
+#include "tensor/random.h"
 
 namespace obs = actcomp::obs;
 namespace json = actcomp::obs::json;
 namespace core = actcomp::core;
+namespace cp = actcomp::compress;
+namespace ts = actcomp::tensor;
 
 namespace {
 
@@ -170,6 +176,51 @@ TEST(Profiler, ZoneTreeIsThreadCountInvariant) {
   }
   EXPECT_TRUE(saw_chunk);
   EXPECT_TRUE(saw_inner);
+  EXPECT_EQ(obs::dropped_zone_events(), 0);
+}
+
+// One stacked T3 message, encoded and decoded: the Top-K kernels' and the
+// lossless container's parallel passes. Returns the aggregated zone tree.
+std::vector<std::tuple<std::string, int, int64_t>> stacked_t3_zones(int lanes) {
+  core::set_num_threads(lanes);
+  ts::Generator gen(3);
+  cp::StackedCompressor codec(cp::make_compressor(cp::Setting::kT3, 256, gen),
+                              cp::LosslessCodec{}, cp::segments_topk());
+  const ts::Tensor x = gen.normal(ts::Shape{64, 256});
+  obs::reset_zones();
+  {
+    ACTCOMP_PROFILE("obstest.stacked");
+    const cp::CompressedMessage msg = codec.encode(x);
+    (void)codec.decode(msg);
+  }
+  return shape_of(obs::snapshot_zones());
+}
+
+TEST(Profiler, StackedLosslessZoneTreeIsThreadCountInvariant) {
+  if (!obs::profiler_compiled_in()) GTEST_SKIP() << "profiler compiled out";
+  const int lanes_before = core::num_threads();
+  obs::set_profiler_enabled(true);
+  const auto snap1 = stacked_t3_zones(1);
+  const auto snap4 = stacked_t3_zones(4);
+  obs::set_profiler_enabled(false);
+  core::set_num_threads(lanes_before);
+
+  EXPECT_EQ(snap1, snap4);
+  // The container stage has its own zones on the calling thread, with its
+  // one unit pass under them; the inner codec's zones stay siblings, so
+  // the lossless time is not inner-codec self time.
+  const std::string root = "obstest.stacked/";
+  for (const char* path :
+       {"compress.encode/compress.lossless.encode",
+        "compress.encode/compress.lossless.encode/core.parallel_for",
+        "compress.decode/compress.lossless.decode",
+        "compress.decode/compress.lossless.decode/core.parallel_for",
+        "compress.encode/compress.encode", "compress.decode/compress.decode"}) {
+    const bool found = std::any_of(snap1.begin(), snap1.end(), [&](const auto& z) {
+      return std::get<0>(z) == root + path && std::get<2>(z) == 1;
+    });
+    EXPECT_TRUE(found) << path;
+  }
   EXPECT_EQ(obs::dropped_zone_events(), 0);
 }
 
